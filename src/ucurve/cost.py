@@ -85,6 +85,8 @@ class Instance:
                 raise ValueError(f"explicit instances capped at degree {MAX_EXPLICIT_DEGREE}")
             if self.costs is None or len(self.costs) != 1 << self.n:
                 raise ValueError("explicit instances need a cost for every subset")
+            if not all(is_finite_number(c) for c in self.costs):
+                raise ValueError("costs must be finite numbers")
             if any(c < 0 for c in self.costs):
                 raise ValueError("costs must be non-negative")
         elif self.kind == MCE:
@@ -113,6 +115,32 @@ class Instance:
             return lambda x: table[x]
         samples = self.samples
         return lambda x: mce_cost(samples, x)
+
+
+def is_finite_number(value) -> bool:
+    """True for an int or float that is neither NaN nor infinite (bool excluded)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def checked_cost(fn: Callable[[int], float]) -> Callable[[int], float]:
+    """Wrap a bare cost callable so that a non-finite or non-numeric value raises ValueError.
+
+    Costs are compared with < and ==, under which NaN is neither smaller nor
+    equal to anything, so different solvers would read a NaN table
+    differently; None would be taken for a memo miss on every lookup.
+    """
+
+    def checked(x: int) -> float:
+        value = fn(x)
+        if not is_finite_number(value):
+            raise ValueError(f"cost of element {x} must be a finite number, got {value!r}")
+        return value
+
+    return checked
 
 
 def subset_sum_cost(weights, target: int, x: int) -> float:
@@ -168,6 +196,11 @@ class CostEvaluator:
     would exceed the budget is never performed: BudgetExhausted is raised
     instead. With a cost target, target_reached latches as soon as a freshly
     computed value is <= the target; solvers poll the flag.
+
+    A bare callable is wrapped by checked_cost, so a non-finite or
+    non-numeric cost raises ValueError. Instance cost functions are finite
+    by construction (explicit tables are checked when built) and run
+    unwrapped.
     """
 
     __slots__ = (
@@ -196,7 +229,7 @@ class CostEvaluator:
             if n is None:
                 raise ValueError("a bare cost callable needs an explicit degree")
             check_degree(n)
-            self.fn = cost
+            self.fn = checked_cost(cost)
             self.n = n
         if node_budget is not None and (not isinstance(node_budget, int) or node_budget < 0):
             raise ValueError(f"node budget must be a non-negative int, got {node_budget!r}")

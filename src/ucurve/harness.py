@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -183,6 +182,10 @@ def _run_task(task: dict) -> tuple:
 def _run_all(tasks: list[dict], jobs: int) -> dict[tuple, SearchReport]:
     if jobs <= 1:
         return dict(_run_task(t) for t in tasks)
+    # imported here: the process pool pulls in multiprocessing, about 2 MB of
+    # resident memory that a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return dict(pool.map(_run_task, tasks, chunksize=4))
 

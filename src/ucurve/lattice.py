@@ -73,17 +73,32 @@ class RestrictionSet:
 
     With LOWER orientation each member R removes the interval from the empty
     set up to R; with UPPER orientation it removes the interval from R up to
-    the full set. ``update`` keeps the member list an antichain: an element
+    the full set. ``update`` keeps the members an antichain: an element
     already covered is dropped, and inserting an element absorbs the members
-    its interval swallows.
+    its interval swallows. ``members`` lists them in insertion order.
 
-    A per-degree coverage bitmap makes ``covers`` O(1) for n <= 20; marking
-    is incremental and touches each lattice element at most once over the
-    set's lifetime (coverage only ever grows). Construction with
-    ``accelerate=False`` forces the antichain-scan path instead.
+    For n <= 20 a per-degree coverage bitmap is the working structure. Each
+    byte tags one lattice element: 0 uncovered, 1 covered, 2 antichain
+    member. Marking is incremental and touches each lattice element at most
+    once over the set's lifetime (coverage only ever grows), and it also
+    does the absorption. Take LOWER and a member r properly inside a new
+    element x: a parent of r inside x was uncovered before the insert, or a
+    member strictly containing r would exist and the set would not be an
+    antichain. Marking covers that parent and tests all its children, so it
+    meets r, finds the tag 2, and demotes r to 1 and drops it; UPPER is the
+    dual. Absorption therefore costs O(1) per absorbed member. Above degree
+    20, or with ``accelerate=False``, ``covers`` scans the antichain and
+    ``update`` filters it.
+
+    ``covered(x)`` is the unchecked coverage lookup for hot loops: with the
+    bitmap it is the bitmap's own item lookup and returns the tag (truthy
+    iff covered), otherwise it is ``covers``. It is only defined for masks
+    the caller knows are in range: a negative mask reads the bitmap from its
+    end and an oversized one raises IndexError. ``covers`` keeps the range
+    check.
     """
 
-    __slots__ = ("orientation", "n", "members", "_full", "_cover")
+    __slots__ = ("orientation", "n", "covered", "_members", "_full", "_cover")
 
     def __init__(
         self,
@@ -97,13 +112,19 @@ class RestrictionSet:
         check_degree(n)
         self.orientation = orientation
         self.n = n
-        self.members: list[int] = []
+        self._members: dict[int, None] = {}
         self._full = (1 << n) - 1
         if accelerate is None:
             accelerate = n <= _ACCEL_MAX_DEGREE
         self._cover = bytearray(1 << n) if accelerate else None
+        self.covered = self._cover.__getitem__ if accelerate else self.covers
         for m in members:
             self.update(m)
+
+    @property
+    def members(self) -> list[int]:
+        """The antichain, in insertion order."""
+        return list(self._members)
 
     def covers(self, x: int) -> bool:
         """True iff some member's interval contains x."""
@@ -113,29 +134,35 @@ class RestrictionSet:
         if cover is not None:
             return cover[x] != 0
         if self.orientation == LOWER:
-            return any(x & ~r == 0 for r in self.members)
-        return any(r & ~x == 0 for r in self.members)
+            return any(x & ~r == 0 for r in self._members)
+        return any(r & ~x == 0 for r in self._members)
 
     def update(self, x: int) -> None:
         """Insert x unless already covered; absorb members x dominates."""
         if self.covers(x):
             return
+        members = self._members
+        if self._cover is not None:
+            members[x] = None
+            if self.orientation == LOWER:
+                self._mark_down(x)
+            else:
+                self._mark_up(x)
+            return
         if self.orientation == LOWER:
             # drop members properly contained in x
-            self.members = [r for r in self.members if r & ~x]
-            self.members.append(x)
-            if self._cover is not None:
-                self._mark_down(x)
+            absorbed = [r for r in members if not r & ~x]
         else:
             # drop members properly containing x
-            self.members = [r for r in self.members if x & ~r]
-            self.members.append(x)
-            if self._cover is not None:
-                self._mark_up(x)
+            absorbed = [r for r in members if not x & ~r]
+        for r in absorbed:
+            del members[r]
+        members[x] = None
 
     def _mark_down(self, x: int) -> None:
         cover = self._cover
-        cover[x] = 1
+        members = self._members
+        cover[x] = 2
         stack = [x]
         while stack:
             y = stack.pop()
@@ -144,14 +171,19 @@ class RestrictionSet:
                 b = bits & -bits
                 bits ^= b
                 child = y ^ b
-                if not cover[child]:
+                tag = cover[child]
+                if not tag:
                     cover[child] = 1
                     stack.append(child)
+                elif tag == 2:
+                    cover[child] = 1
+                    del members[child]
 
     def _mark_up(self, x: int) -> None:
         cover = self._cover
+        members = self._members
         full = self._full
-        cover[x] = 1
+        cover[x] = 2
         stack = [x]
         while stack:
             y = stack.pop()
@@ -160,27 +192,25 @@ class RestrictionSet:
                 b = bits & -bits
                 bits ^= b
                 parent = y | b
-                if not cover[parent]:
+                tag = cover[parent]
+                if not tag:
                     cover[parent] = 1
                     stack.append(parent)
+                elif tag == 2:
+                    cover[parent] = 1
+                    del members[parent]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._members)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
+        return iter(self._members)
 
     def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-    def copy(self) -> "RestrictionSet":
-        dup = RestrictionSet(self.orientation, self.n, accelerate=False)
-        dup.members = list(self.members)
-        dup._cover = bytearray(self._cover) if self._cover is not None else None
-        return dup
+        return x in self._members
 
     def __repr__(self) -> str:
-        vecs = [render_element(m, self.n) for m in self.members]
+        vecs = [render_element(m, self.n) for m in self._members]
         return f"RestrictionSet({self.orientation}, n={self.n}, members={vecs})"
 
 
@@ -204,13 +234,15 @@ def minimal_element(n: int, r_lower: RestrictionSet) -> int | None:
         raise ValueError("minimal_element needs a LOWER restriction collection")
     check_degree(n)
     x = (1 << n) - 1
+    # the checked lookup of the full set vouches for every subset tried below
     if r_lower.covers(x):
         return None
+    covered = r_lower.covered
     for b in range(n):
         bit = 1 << b
         if x & bit:
             candidate = x ^ bit
-            if not r_lower.covers(candidate):
+            if not covered(candidate):
                 x = candidate
     return x
 
@@ -220,13 +252,16 @@ def maximal_element(n: int, r_upper: RestrictionSet) -> int | None:
     if r_upper.orientation != UPPER:
         raise ValueError("maximal_element needs an UPPER restriction collection")
     check_degree(n)
+    # the supersets tried below stay inside the full set of degree n
+    check_element((1 << n) - 1, r_upper.n)
     if r_upper.covers(0):
         return None
+    covered = r_upper.covered
     x = 0
     for b in range(n):
         bit = 1 << b
         if not x & bit:
             candidate = x | bit
-            if not r_upper.covers(candidate):
+            if not covered(candidate):
                 x = candidate
     return x

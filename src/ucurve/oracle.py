@@ -93,14 +93,14 @@ def legacy_ucurve_solve(
                 a = minimal_element(n, r_lower)
                 if a is None:
                     break
-                if r_upper.covers(a):
+                if r_upper.covered(a):
                     r_lower.update(a)
                     continue
             else:
                 a = maximal_element(n, r_upper)
                 if a is None:
                     break
-                if r_lower.covers(a):
+                if r_lower.covered(a):
                     r_upper.update(a)
                     continue
             m = _chain_minimum(a, n, ev, r_lower, r_upper, going_up)
@@ -131,7 +131,7 @@ def _chain_minimum(
             if going_up == bool(current & bit):
                 continue
             candidate = current ^ bit
-            if r_lower.covers(candidate) or r_upper.covers(candidate):
+            if r_lower.covered(candidate) or r_upper.covered(candidate):
                 continue
             step = candidate
             break
@@ -158,7 +158,7 @@ def _minimum_exhausting(
         # a top that earlier pops removed from the search space is not
         # expanded; it is exhausted as-is (this is what makes the pop step
         # able to delete never-visited regions)
-        if r_lower.covers(top) or r_upper.covers(top):
+        if r_lower.covered(top) or r_upper.covered(top):
             stack.pop()
             stacked.discard(top)
             r_lower.update(top)
@@ -170,7 +170,7 @@ def _minimum_exhausting(
             y = top ^ (1 << b)
             if y in stacked:
                 continue
-            if r_lower.covers(y) or r_upper.covers(y):
+            if r_lower.covered(y) or r_upper.covered(y):
                 continue
             c_y = ev.evaluate(y)
             if ev.target_reached:

@@ -94,21 +94,23 @@ def select_unvisited_adjacent(
     uncovered neighbours clear nothing).
     """
     element = y.element
+    lower_covered = r_lower.covered
+    upper_covered = r_upper.covered
     while y.unverified:
         bit = y.unverified & -y.unverified
         y.unverified ^= bit
         x = element ^ bit
         if element & bit:  # x is the lower neighbour across this bit
-            if r_lower.covers(x):
+            if lower_covered(x):
                 y.lower_adjacent &= ~bit
                 continue
-            if x not in graph and not r_upper.covers(x):
+            if x not in graph and not upper_covered(x):
                 return fresh_node(x, n)
         else:
-            if r_upper.covers(x):
+            if upper_covered(x):
                 y.upper_adjacent &= ~bit
                 continue
-            if x not in graph and not r_lower.covers(x):
+            if x not in graph and not lower_covered(x):
                 return fresh_node(x, n)
     return None
 
@@ -201,7 +203,13 @@ def dfs(
     node-budget stop the exception propagates with minima already holding
     everything evaluated so far; on a cost-target hit the search returns
     immediately.
+
+    Before an empty flag licenses an interval removal, every neighbour on
+    that side is checked to be covered; a node whose flag claims otherwise
+    raises RuntimeError instead of removing a region nobody examined.
     """
+    lower_covered = r_lower.covered
+    upper_covered = r_upper.covered
     cm = evaluator.evaluate(m_node.element)
     minima[m_node.element] = cm
     if evaluator.target_reached:
@@ -229,17 +237,16 @@ def dfs(
             node_pruning(x, y, graph, r_lower, r_upper, evaluator, on_event)
             if cx <= cy:
                 break
-        if not y.lower_adjacent and not r_lower.covers(y.element):
+        ye = y.element
+        if not y.lower_adjacent and not lower_covered(ye):
             # flag soundness: an empty flag must mean every neighbour on that
             # side is really covered, or the interval removal would be unsound
-            assert all(
-                r_lower.covers(y.element ^ (1 << b)) for b in range(n) if y.element >> b & 1
-            )
+            if not all(lower_covered(ye ^ (1 << b)) for b in range(n) if ye >> b & 1):
+                raise RuntimeError(f"unsound lower flag: a lower neighbour of {ye:#x} is uncovered")
             lower_pruning(y, graph, r_lower, on_event)
-        if not y.upper_adjacent and not r_upper.covers(y.element):
-            assert all(
-                r_upper.covers(y.element | (1 << b)) for b in range(n) if not y.element >> b & 1
-            )
+        if not y.upper_adjacent and not upper_covered(ye):
+            if not all(upper_covered(ye | (1 << b)) for b in range(n) if not ye >> b & 1):
+                raise RuntimeError(f"unsound upper flag: an upper neighbour of {ye:#x} is uncovered")
             upper_pruning(y, graph, r_upper, on_event)
         if not y.lower_adjacent and not y.upper_adjacent:
             graph.pop(y.element, None)
@@ -292,7 +299,7 @@ def ucs_solve(
                 a = maximal_element(n, r_upper)
             if a is None:
                 break
-            blocked = r_lower.covers(a) if not going_up else r_upper.covers(a)
+            blocked = r_lower.covered(a) if not going_up else r_upper.covered(a)
             if not blocked:
                 minima[a] = ev.evaluate(a)
                 if on_event:

@@ -125,3 +125,14 @@ def test_solve_writes_report_to_file(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["computed_nodes"] == 32
     assert capsys.readouterr().out == ""
+
+
+def test_solve_rejects_non_finite_costs(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    costs = {"00": float("nan"), "10": 1.0, "01": 0.5, "11": 2.0}
+    path.write_text(json.dumps({"n": 2, "kind": "explicit", "costs": costs}))
+    for algorithm in ("ucs", "ubb", "exhaustive"):
+        assert run(["solve", "--algorithm", algorithm, "--instance", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err

@@ -269,3 +269,51 @@ class TestInstanceFiles:
         path.write_text("010 2\n")
         with pytest.raises(ValueError):
             load_samples(path)
+
+
+class TestNonFiniteCosts:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_explicit_table_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Instance(n=1, kind="explicit", costs=(bad, 1.0))
+
+    @pytest.mark.parametrize("bad", ["1", None, True])
+    def test_explicit_table_rejects_non_numeric(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Instance(n=1, kind="explicit", costs=(0.0, bad))
+
+    def test_load_instance_rejects_nan(self, tmp_path):
+        path = tmp_path / "nan.json"
+        costs = {"00": float("nan"), "10": 1.0, "01": 0.5, "11": 2.0}
+        path.write_text(json.dumps({"n": 2, "kind": "explicit", "costs": costs}))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError, match="finite"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("bad", [None, float("nan"), float("inf"), "1.0", False])
+    def test_bare_callable_value_checked(self, bad):
+        ev = CostEvaluator(lambda x: bad, n=2)
+        with pytest.raises(ValueError, match="finite"):
+            ev.evaluate(1)
+        assert ev.computed_nodes == 0
+
+    def test_bare_callable_finite_values_pass(self):
+        ev = CostEvaluator(lambda x: x if x % 2 else float(x), n=3)
+        assert [ev.evaluate(x) for x in range(4)] == [0.0, 1, 2.0, 3]
+
+    def test_instance_cost_function_runs_unwrapped(self):
+        inst = generate_subset_sum_instance(6, 3)
+        ev = CostEvaluator(inst)
+        assert ev.fn.__name__ == "subset_sum"
+
+    def test_every_solver_rejects_a_nan_callable(self):
+        from ucurve.oracle import exhaustive_solve
+        from ucurve.ubb import ubb_solve
+        from ucurve.ucs import ucs_solve
+
+        def fn(x):
+            return float("nan") if x == 0 else 0.5 * x
+
+        for solve in (ucs_solve, ubb_solve, exhaustive_solve):
+            with pytest.raises(ValueError, match="finite"):
+                solve(2, fn)

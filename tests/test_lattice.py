@@ -165,6 +165,66 @@ class TestUpdate:
             assert r.covers(x) == brute_covers(orientation, applied, x)
 
 
+class TestBitmapAntichain:
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([LOWER, UPPER]),
+        st.lists(st.integers(min_value=0, max_value=255), max_size=20),
+    )
+    @settings(max_examples=200)
+    def test_bitmap_tags_exactly_the_members(self, n, orientation, updates):
+        full = full_set(n)
+        fast = RestrictionSet(orientation, n, accelerate=True)
+        slow = RestrictionSet(orientation, n, accelerate=False)
+        for x in updates:
+            fast.update(x & full)
+            slow.update(x & full)
+            assert fast.members == slow.members
+            assert len(fast) == len(slow) == len(fast.members)
+            tagged = [m for m in range(full + 1) if fast._cover[m] == 2]
+            assert tagged == sorted(fast.members)
+            for m in range(full + 1):
+                assert (m in fast) == (m in slow) == (fast._cover[m] == 2)
+
+    def test_absorbs_several_members_at_once(self):
+        r = lower_set(4, [parse_element(v) for v in ("1000", "0100", "0001", "0110")])
+        assert [render_element(m, 4) for m in r] == ["1000", "0001", "0110"]
+        r.update(parse_element("1110"))
+        assert [render_element(m, 4) for m in r] == ["0001", "1110"]
+        u = upper_set(4, [parse_element(v) for v in ("1110", "1011", "0111")])
+        u.update(parse_element("0100"))
+        assert [render_element(m, 4) for m in u] == ["1011", "0100"]
+
+    def test_members_is_a_snapshot(self):
+        r = lower_set(3, [0b001])
+        snapshot = r.members
+        snapshot.append(0b010)
+        assert r.members == [0b001]
+        with pytest.raises(AttributeError):
+            r.members = [0b010]
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([LOWER, UPPER]),
+        st.booleans(),
+        st.lists(st.integers(min_value=0, max_value=255), max_size=10),
+    )
+    def test_covered_agrees_with_covers(self, n, orientation, accelerate, updates):
+        full = full_set(n)
+        r = RestrictionSet(orientation, n, [x & full for x in updates], accelerate=accelerate)
+        for x in range(full + 1):
+            assert bool(r.covered(x)) is r.covers(x)
+
+    @pytest.mark.parametrize("accelerate", [True, False])
+    def test_covers_keeps_its_range_check(self, accelerate):
+        r = lower_set(4, [0b0110], accelerate=accelerate)
+        for x in (-1, 1 << 4):
+            with pytest.raises(ValueError):
+                r.covers(x)
+            with pytest.raises(ValueError):
+                r.update(x)
+
+
 class TestMinMaxElements:
     def test_minimal_examples(self):
         assert minimal_element(2, lower_set(2, [])) == 0
@@ -181,6 +241,12 @@ class TestMinMaxElements:
             minimal_element(2, upper_set(2, []))
         with pytest.raises(ValueError):
             maximal_element(2, lower_set(2, []))
+
+    def test_degree_larger_than_the_collection_rejected(self):
+        with pytest.raises(ValueError):
+            minimal_element(3, lower_set(2, []))
+        with pytest.raises(ValueError):
+            maximal_element(3, upper_set(2, []))
 
     @given(st.integers(min_value=1, max_value=10), st.data())
     @settings(max_examples=200)

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ucurve.lattice
 from conftest import NoMinimumLossObserver, brute_minima
 from ucurve.cost import (
     CostEvaluator,
@@ -373,3 +378,82 @@ class TestUcsSolve:
         assert report.computed_nodes <= 2**8
         assert report.dfs_calls <= report.minmax_calls
         assert report.time_in_cost <= report.wall_time
+
+
+class TestFlagSoundnessCheck:
+    """An empty flag whose neighbours are not all covered must stop the search."""
+
+    @pytest.mark.parametrize(
+        "lower_adjacent, upper_adjacent, side",
+        [(0, 0b100, "lower"), (0b011, 0, "upper")],
+    )
+    def test_corrupted_seed_flag_raises(self, lower_adjacent, upper_adjacent, side):
+        n = 3
+        ev = CostEvaluator(lambda m: float(m), n=n)
+        r_lower = RestrictionSet(LOWER, n)
+        r_upper = RestrictionSet(UPPER, n)
+        # 0b011 has uncovered neighbours on both sides, yet one flag says
+        # none is left; nothing is unverified, so the seed pops at once
+        seed = Node(0b011, 0, lower_adjacent, upper_adjacent)
+        with pytest.raises(RuntimeError, match=f"unsound {side} flag"):
+            dfs(seed, n, r_lower, r_upper, ev, {})
+        assert len(r_lower) == len(r_upper) == 0
+
+    def test_check_survives_optimized_mode(self):
+        script = (
+            "from ucurve.cost import CostEvaluator\n"
+            "from ucurve.lattice import LOWER, UPPER, RestrictionSet\n"
+            "from ucurve.ucs import Node, dfs\n"
+            "assert False, 'assertions are on'\n"
+            "try:\n"
+            "    dfs(Node(0b011, 0, 0, 0b100), 3, RestrictionSet(LOWER, 3),\n"
+            "        RestrictionSet(UPPER, 3), CostEvaluator(float, n=3), {})\n"
+            "except RuntimeError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: unsound lower flag")
+
+
+class TestCoveragePathsAgree:
+    """The bitmap and the antichain-scan coverage paths drive identical runs.
+
+    No benchmark degree exceeds the bitmap limit, so this is what keeps the
+    scan path honest.
+    """
+
+    @staticmethod
+    def trajectories(instances):
+        out = []
+        for seed, inst in enumerate(instances):
+            events = []
+            report = ucs_solve(inst.n, inst, seed=seed, on_event=events.append)
+            out.append(
+                (
+                    report.computed_nodes,
+                    report.minima,
+                    report.best_cost,
+                    report.dfs_calls,
+                    report.minmax_calls,
+                    events,
+                )
+            )
+        return out
+
+    @pytest.mark.parametrize("kind", ["subset_sum", "explicit"])
+    def test_same_trajectory_on_both_paths(self, monkeypatch, kind):
+        if kind == "subset_sum":
+            instances = [generate_subset_sum_instance(8 + s % 3, 700 + s) for s in range(20)]
+        else:
+            instances = [generate_decomposable_explicit(8 + s % 3, 700 + s) for s in range(20)]
+        with_bitmap = self.trajectories(instances)
+        monkeypatch.setattr(ucurve.lattice, "_ACCEL_MAX_DEGREE", 0)
+        assert RestrictionSet(LOWER, 8)._cover is None
+        with_scan = self.trajectories(instances)
+        assert with_scan == with_bitmap
