@@ -21,7 +21,7 @@ from .cost import (
     save_samples,
     verify_decomposable,
 )
-from .harness import ExperimentConfig, derive_seed, run_benchmark, run_solver
+from .harness import ALGORITHMS, ExperimentConfig, derive_seed, run_benchmark, run_solver
 from .lattice import render_element
 from .oracle import find_counterexample
 
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--algorithm",
         required=True,
-        choices=["ucs", "ubb", "sffs", "exhaustive", "ucurve-legacy"],
+        choices=ALGORITHMS,
     )
     solve.add_argument("--instance", type=Path, help="instance JSON file")
     solve.add_argument("--samples", type=Path, help="sample table file (entropy cost)")

@@ -79,26 +79,36 @@ class RestrictionSet:
 
     For n <= 20 a per-degree coverage bitmap is the working structure. Each
     byte tags one lattice element: 0 uncovered, 1 covered, 2 antichain
-    member. Marking is incremental and touches each lattice element at most
-    once over the set's lifetime (coverage only ever grows), and it also
-    does the absorption. Take LOWER and a member r properly inside a new
-    element x: a parent of r inside x was uncovered before the insert, or a
-    member strictly containing r would exist and the set would not be an
-    antichain. Marking covers that parent and tests all its children, so it
-    meets r, finds the tag 2, and demotes r to 1 and drops it; UPPER is the
-    dual. Absorption therefore costs O(1) per absorbed member. Above degree
-    20, or with ``accelerate=False``, ``covers`` scans the antichain and
-    ``update`` filters it.
+    member. Marking walks a spanning tree of the new interval: for LOWER, a
+    child reached from x by clearing bit b may only clear bits above b
+    further (exactly the bits its parent has still to try), and the walk
+    stops at a child that is already covered (UPPER is the dual, setting
+    bits). The uncovered part of the lattice is closed upward, so every
+    superset of a newly covered z inside x was uncovered too: the tree path
+    to z, which clears the bits of x - z lowest first, runs through
+    uncovered elements only, and each newly covered element is reached
+    exactly once. Marking also does the absorption. Take LOWER and a member
+    r properly inside x; r's tree parent is r plus the highest bit of
+    x - r. Every proper superset of r inside x was uncovered, or a member
+    strictly containing r would exist and the set would not be an
+    antichain, so that parent is reached, meets r, finds the tag 2, and
+    demotes r to 1 and drops it. Absorption therefore costs O(1) per
+    absorbed member, and an insert costs O(n) per newly covered element.
+    Above degree 20, or with ``accelerate=False``, ``covers`` scans the
+    antichain and ``update`` filters it.
 
-    ``covered(x)`` is the unchecked coverage lookup for hot loops: with the
-    bitmap it is the bitmap's own item lookup and returns the tag (truthy
-    iff covered), otherwise it is ``covers``. It is only defined for masks
-    the caller knows are in range: a negative mask reads the bitmap from its
-    end and an oversized one raises IndexError. ``covers`` keeps the range
-    check.
+    ``covered(x)`` is the unchecked coverage lookup for hot loops. It
+    returns the tag on both paths: with the bitmap it is the bitmap's own
+    item lookup, otherwise a membership test and a scan of the antichain.
+    It is only defined for masks the caller knows are in range: a negative
+    mask reads the bitmap from its end and an oversized one raises
+    IndexError. ``covers`` keeps the range check.
+
+    With the bitmap, the set also keeps the cursor of ``minimal_element``
+    (LOWER) or ``maximal_element`` (UPPER); see there.
     """
 
-    __slots__ = ("orientation", "n", "covered", "_members", "_full", "_cover")
+    __slots__ = ("orientation", "n", "covered", "_members", "_full", "_cover", "_cursor")
 
     def __init__(
         self,
@@ -117,7 +127,8 @@ class RestrictionSet:
         if accelerate is None:
             accelerate = n <= _ACCEL_MAX_DEGREE
         self._cover = bytearray(1 << n) if accelerate else None
-        self.covered = self._cover.__getitem__ if accelerate else self.covers
+        self.covered = self._cover.__getitem__ if accelerate else self._scan
+        self._cursor = 0 if orientation == LOWER else self._full
         for m in members:
             self.update(m)
 
@@ -130,12 +141,16 @@ class RestrictionSet:
         """True iff some member's interval contains x."""
         if x < 0 or x >> self.n:
             raise ValueError(f"element {x} out of range for degree {self.n}")
-        cover = self._cover
-        if cover is not None:
-            return cover[x] != 0
+        return self.covered(x) != 0
+
+    def _scan(self, x: int) -> int:
+        """The tag of x read off the antichain, for the path without a bitmap."""
+        members = self._members
+        if x in members:
+            return 2
         if self.orientation == LOWER:
-            return any(x & ~r == 0 for r in self._members)
-        return any(r & ~x == 0 for r in self._members)
+            return 1 if any(x & ~r == 0 for r in members) else 0
+        return 1 if any(r & ~x == 0 for r in members) else 0
 
     def update(self, x: int) -> None:
         """Insert x unless already covered; absorb members x dominates."""
@@ -163,10 +178,11 @@ class RestrictionSet:
         cover = self._cover
         members = self._members
         cover[x] = 2
-        stack = [x]
+        # pairs of (element, the bits it may still clear)
+        stack = [x, x]
         while stack:
+            bits = stack.pop()
             y = stack.pop()
-            bits = y
             while bits:
                 b = bits & -bits
                 bits ^= b
@@ -175,6 +191,7 @@ class RestrictionSet:
                 if not tag:
                     cover[child] = 1
                     stack.append(child)
+                    stack.append(bits)
                 elif tag == 2:
                     cover[child] = 1
                     del members[child]
@@ -182,12 +199,12 @@ class RestrictionSet:
     def _mark_up(self, x: int) -> None:
         cover = self._cover
         members = self._members
-        full = self._full
         cover[x] = 2
-        stack = [x]
+        # pairs of (element, the bits it may still set)
+        stack = [x, self._full & ~x]
         while stack:
+            bits = stack.pop()
             y = stack.pop()
-            bits = full & ~y
             while bits:
                 b = bits & -bits
                 bits ^= b
@@ -196,6 +213,7 @@ class RestrictionSet:
                 if not tag:
                     cover[parent] = 1
                     stack.append(parent)
+                    stack.append(bits)
                 elif tag == 2:
                     cover[parent] = 1
                     del members[parent]
@@ -224,11 +242,23 @@ def in_current_space(r_lower: RestrictionSet, r_upper: RestrictionSet, x: int) -
 def minimal_element(n: int, r_lower: RestrictionSet) -> int | None:
     """A minimal element of the space left by r_lower, or None if empty.
 
-    Greedy descent from the full set: one ascending pass over the bits,
-    clearing each bit whose removal keeps the element uncovered. Coverage is
-    downward closed, so a removal that was covered stays covered as the
-    element shrinks; the pass therefore ends at a fixpoint where every lower
-    neighbour is covered, which is exactly minimality.
+    The answer is the first uncovered mask in bit-reversed order, the order
+    of masks read with bit 0 as the most significant digit. A proper subset
+    comes earlier in that order, so the first uncovered mask is minimal.
+
+    Greedy descent finds it from the full set: one ascending pass over the
+    bits, clearing each bit whose removal keeps the element uncovered. The
+    uncovered part is closed upward, so some uncovered mask agrees with the
+    bits decided so far and has bit b clear iff the current element with
+    bit b cleared is uncovered; the pass is the lexicographic minimisation.
+
+    With a bitmap and n equal to the collection's degree, the collection's
+    cursor steps through that order instead. Coverage only ever grows, so
+    every mask the cursor has passed stays covered and the first uncovered
+    mask never lies behind it: the answer is the same element, and a whole
+    run of queries costs O(2**n) steps in total rather than O(n) lookups
+    per query. A step is a bit-reversed increment: clear the top bits while
+    they are set, then set the first clear one.
     """
     if r_lower.orientation != LOWER:
         raise ValueError("minimal_element needs a LOWER restriction collection")
@@ -237,6 +267,19 @@ def minimal_element(n: int, r_lower: RestrictionSet) -> int | None:
     # the checked lookup of the full set vouches for every subset tried below
     if r_lower.covers(x):
         return None
+    cover = r_lower._cover
+    if cover is not None and n == r_lower.n:
+        # the full set is uncovered, so a covered x always has a clear bit
+        x = r_lower._cursor
+        top = 1 << (n - 1)
+        while cover[x]:
+            b = top
+            while x & b:
+                x ^= b
+                b >>= 1
+            x |= b
+        r_lower._cursor = x
+        return x
     covered = r_lower.covered
     for b in range(n):
         bit = 1 << b
@@ -248,7 +291,11 @@ def minimal_element(n: int, r_lower: RestrictionSet) -> int | None:
 
 
 def maximal_element(n: int, r_upper: RestrictionSet) -> int | None:
-    """Dual of minimal_element over the space left by r_upper."""
+    """Dual of minimal_element over the space left by r_upper.
+
+    The answer is the last uncovered mask in bit-reversed order; the cursor
+    steps backward from the full set with bit-reversed decrements.
+    """
     if r_upper.orientation != UPPER:
         raise ValueError("maximal_element needs an UPPER restriction collection")
     check_degree(n)
@@ -256,6 +303,19 @@ def maximal_element(n: int, r_upper: RestrictionSet) -> int | None:
     check_element((1 << n) - 1, r_upper.n)
     if r_upper.covers(0):
         return None
+    cover = r_upper._cover
+    if cover is not None and n == r_upper.n:
+        # the empty set is uncovered, so a covered x always has a set bit
+        x = r_upper._cursor
+        top = 1 << (n - 1)
+        while cover[x]:
+            b = top
+            while not x & b:
+                x |= b
+                b >>= 1
+            x ^= b
+        r_upper._cursor = x
+        return x
     covered = r_upper.covered
     x = 0
     for b in range(n):

@@ -18,6 +18,16 @@ hold the bits whose neighbour is not yet known covered, and an empty flag
 licenses the interval removal. unverified holds the bits not yet examined
 for expansion.
 
+A pruning step costs what it changes, not what the run has seen: it only
+updates a restriction set, and the DFS graph learns of it lazily. A graph
+node is dead iff either side's coverage tag for its element is 1 (covered
+but not a member) or the graph no longer maps its element to it. Nodes
+are pushed only while uncovered on both sides (the seed is a member on its
+own side), and inside a DFS only lower_pruning and upper_pruning add
+restrictions, each covering the proper subsets (supersets) of the element
+it inserts; so tag 1 marks exactly the nodes such a call has removed, and
+tags never go back. The DFS pops dead nodes when they reach its stack top.
+
 A run never shares state; minima accumulate as element -> cost pairs so
 the final filter needs no re-evaluation. The optional on_event callback
 receives one dict per push / pop / restriction update, which is what the
@@ -117,37 +127,31 @@ def select_unvisited_adjacent(
 
 def lower_pruning(
     y: Node,
-    graph: dict[int, Node],
     r_lower: RestrictionSet,
     on_event: EventCallback | None = None,
 ) -> None:
-    """Add y's element to the lower restrictions and drop its proper subsets."""
+    """Add y's element to the lower restrictions.
+
+    Its proper subsets in the DFS graph die with it: they now read tag 1.
+    """
     r_lower.update(y.element)
     if on_event:
         on_event({"event": "restrict", "side": "lower", "element": y.element})
-    ye = y.element
-    for e in [e for e in graph if e != ye and not e & ~ye]:
-        del graph[e]
 
 
 def upper_pruning(
     y: Node,
-    graph: dict[int, Node],
     r_upper: RestrictionSet,
     on_event: EventCallback | None = None,
 ) -> None:
     r_upper.update(y.element)
     if on_event:
         on_event({"event": "restrict", "side": "upper", "element": y.element})
-    ye = y.element
-    for e in [e for e in graph if e != ye and not ye & ~e]:
-        del graph[e]
 
 
 def node_pruning(
     x: Node,
     y: Node,
-    graph: dict[int, Node],
     r_lower: RestrictionSet,
     r_upper: RestrictionSet,
     evaluator: CostEvaluator,
@@ -169,20 +173,20 @@ def node_pruning(
         raise ValueError("node_pruning needs adjacent nodes")
     if x.element & bit:  # x is upper adjacent to y
         if cx < cy:
-            lower_pruning(y, graph, r_lower, on_event)
+            lower_pruning(y, r_lower, on_event)
             x.lower_adjacent &= ~bit
             y.lower_adjacent = 0
         else:
-            upper_pruning(x, graph, r_upper, on_event)
+            upper_pruning(x, r_upper, on_event)
             y.upper_adjacent &= ~bit
             x.upper_adjacent = 0
     else:  # x is lower adjacent to y
         if cx < cy:
-            upper_pruning(y, graph, r_upper, on_event)
+            upper_pruning(y, r_upper, on_event)
             x.upper_adjacent &= ~bit
             y.upper_adjacent = 0
         else:
-            lower_pruning(x, graph, r_lower, on_event)
+            lower_pruning(x, r_lower, on_event)
             y.lower_adjacent &= ~bit
             x.lower_adjacent = 0
 
@@ -207,6 +211,11 @@ def dfs(
     Before an empty flag licenses an interval removal, every neighbour on
     that side is checked to be covered; a node whose flag claims otherwise
     raises RuntimeError instead of removing a region nobody examined.
+
+    m_node's element must be uncovered, or a member, on either side: a
+    seed that reads tag 1 is dead on arrival. The end-of-search flush
+    snapshots the live nodes before it updates the restrictions, since its
+    own updates kill nodes it must still flush.
     """
     lower_covered = r_lower.covered
     upper_covered = r_upper.covered
@@ -218,13 +227,17 @@ def dfs(
     stack: list[Node] = [m_node]
     while stack:
         y = stack[-1]
-        cy = evaluator.evaluate(y.element)
+        ye = y.element
+        if lower_covered(ye) == 1 or upper_covered(ye) == 1 or graph.get(ye) is not y:
+            stack.pop()
+            continue
+        cy = evaluator.evaluate(ye)
         while True:
             x = select_unvisited_adjacent(y, graph, n, r_lower, r_upper)
             if x is None:
                 stack.remove(y)
                 if on_event:
-                    on_event({"event": "pop", "element": y.element})
+                    on_event({"event": "pop", "element": ye})
                 break
             stack.append(x)
             graph[x.element] = x
@@ -234,24 +247,28 @@ def dfs(
                 on_event({"event": "push", "element": x.element, "cost": cx})
             if evaluator.target_reached:
                 return minima
-            node_pruning(x, y, graph, r_lower, r_upper, evaluator, on_event)
+            node_pruning(x, y, r_lower, r_upper, evaluator, on_event)
             if cx <= cy:
                 break
-        ye = y.element
         if not y.lower_adjacent and not lower_covered(ye):
             # flag soundness: an empty flag must mean every neighbour on that
             # side is really covered, or the interval removal would be unsound
             if not all(lower_covered(ye ^ (1 << b)) for b in range(n) if ye >> b & 1):
                 raise RuntimeError(f"unsound lower flag: a lower neighbour of {ye:#x} is uncovered")
-            lower_pruning(y, graph, r_lower, on_event)
+            lower_pruning(y, r_lower, on_event)
         if not y.upper_adjacent and not upper_covered(ye):
             if not all(upper_covered(ye | (1 << b)) for b in range(n) if not ye >> b & 1):
                 raise RuntimeError(f"unsound upper flag: an upper neighbour of {ye:#x} is uncovered")
-            upper_pruning(y, graph, r_upper, on_event)
+            upper_pruning(y, r_upper, on_event)
         if not y.lower_adjacent and not y.upper_adjacent:
-            graph.pop(y.element, None)
-        stack[:] = [node for node in stack if graph.get(node.element) is node]
-    for node in graph.values():
+            del graph[ye]
+    # snapshot the live nodes first: the flush's own updates kill nodes
+    live = [
+        node
+        for node in graph.values()
+        if lower_covered(node.element) != 1 and upper_covered(node.element) != 1
+    ]
+    for node in live:
         if not node.lower_adjacent:
             r_lower.update(node.element)
             if on_event:

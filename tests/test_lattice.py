@@ -30,6 +30,32 @@ def brute_covers(orientation, members, x):
     return any(r & ~x == 0 for r in members)
 
 
+def greedy_minimal(n, r):
+    """Reference descent: clear each bit, lowest first, while uncovered."""
+    x = full_set(n)
+    if r.covers(x):
+        return None
+    for b in range(n):
+        if x >> b & 1 and not r.covers(x ^ (1 << b)):
+            x ^= 1 << b
+    return x
+
+
+def greedy_maximal(n, r):
+    if r.covers(0):
+        return None
+    x = 0
+    for b in range(n):
+        if not x >> b & 1 and not r.covers(x | (1 << b)):
+            x |= 1 << b
+    return x
+
+
+def bit_reversed(x, n):
+    """x read with bit 0 as the most significant of n digits."""
+    return int(format(x, f"0{n}b")[::-1], 2)
+
+
 class TestTextForm:
     def test_render_leftmost_is_feature_zero(self):
         assert render_element(0b0111, 4) == "1110"
@@ -185,6 +211,7 @@ class TestBitmapAntichain:
             assert tagged == sorted(fast.members)
             for m in range(full + 1):
                 assert (m in fast) == (m in slow) == (fast._cover[m] == 2)
+                assert slow.covered(m) == fast._cover[m]  # the scan path returns tags too
 
     def test_absorbs_several_members_at_once(self):
         r = lower_set(4, [parse_element(v) for v in ("1000", "0100", "0001", "0110")])
@@ -279,6 +306,44 @@ class TestMinMaxElements:
             for b in range(n):
                 if not got >> b & 1:
                     assert (got | (1 << b)) not in survivors, "a proper superset survives"
+
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["lower", "upper", "min", "max"]),
+                st.integers(min_value=0, max_value=255),
+            ),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=300)
+    def test_cursor_matches_greedy_and_enumeration(self, n, ops):
+        # updates interleaved with queries: the bitmap's cursor must answer
+        # exactly what the greedy descent answers, the bit-reversed extreme
+        # among the uncovered masks
+        full = full_set(n)
+        r_lower = lower_set(n, [])
+        r_upper = upper_set(n, [])
+        assert r_lower._cover is not None and r_upper._cover is not None
+        for op, x in ops:
+            if op == "lower":
+                r_lower.update(x & full)
+            elif op == "upper":
+                r_upper.update(x & full)
+            else:
+                r = r_lower if op == "min" else r_upper
+                uncovered = [m for m in range(full + 1) if not r.covers(m)]
+                if op == "min":
+                    got, reference = minimal_element(n, r), greedy_minimal(n, r)
+                    pick = min
+                else:
+                    got, reference = maximal_element(n, r), greedy_maximal(n, r)
+                    pick = max
+                assert got == reference
+                expected = pick(uncovered, key=lambda m: bit_reversed(m, n)) if uncovered else None
+                assert got == expected
 
 
 class TestSpaceAndAdjacency:

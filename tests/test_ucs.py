@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import unittest.mock
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ucurve.lattice
+import ucurve.ucs
 from conftest import NoMinimumLossObserver, brute_minima
 from ucurve.cost import (
     CostEvaluator,
@@ -27,6 +29,8 @@ from ucurve.lattice import (
     minimal_element,
     parse_element,
 )
+from ucurve.oracle import exhaustive_solve
+from ucurve.ubb import ubb_solve
 from ucurve.ucs import (
     DOWN,
     UP,
@@ -84,28 +88,29 @@ class TestPruning:
         y = make_node(parse_element("0110"), n)
         graph = {y.element: y}
         r_lower = RestrictionSet(LOWER, n)
-        lower_pruning(y, graph, r_lower)
+        lower_pruning(y, r_lower)
         assert list(r_lower) == [parse_element("0110")]
         assert y.element in graph
 
-    def test_lower_pruning_drops_proper_subsets(self):
+    def test_lower_pruning_kills_proper_subsets_lazily(self):
+        # the DFS graph is not scanned: a proper subset dies by reading tag 1
+        # (covered, not a member), while y itself becomes a member
         n = 4
         y = make_node(parse_element("0110"), n)
         sub = make_node(parse_element("0100"), n)
-        graph = {y.element: y, sub.element: sub}
         r_lower = RestrictionSet(LOWER, n)
-        lower_pruning(y, graph, r_lower)
-        assert sub.element not in graph
-        assert y.element in graph
+        assert r_lower.covered(sub.element) == 0
+        lower_pruning(y, r_lower)
+        assert r_lower.covered(sub.element) == 1
+        assert r_lower.covered(y.element) == 2
 
     def test_lower_pruning_idempotent(self):
         n = 4
         y = make_node(parse_element("0110"), n)
-        graph = {y.element: y}
         r_lower = RestrictionSet(LOWER, n)
-        lower_pruning(y, graph, r_lower)
+        lower_pruning(y, r_lower)
         members_once = list(r_lower)
-        lower_pruning(y, graph, r_lower)
+        lower_pruning(y, r_lower)
         assert list(r_lower) == members_once
 
     def test_node_pruning_upper_adjacent_cheaper(self):
@@ -115,10 +120,9 @@ class TestPruning:
         ev = CostEvaluator(lambda m: costs[m], n=n)
         x = make_node(parse_element("11"), n)
         y = make_node(parse_element("10"), n)
-        graph = {x.element: x, y.element: y}
         r_lower = RestrictionSet(LOWER, n)
         r_upper = RestrictionSet(UPPER, n)
-        node_pruning(x, y, graph, r_lower, r_upper, ev)
+        node_pruning(x, y, r_lower, r_upper, ev)
         assert list(r_lower) == [parse_element("10")]
         assert x.lower_adjacent == parse_element("10")  # lost the bit toward y
         assert y.lower_adjacent == 0
@@ -129,11 +133,10 @@ class TestPruning:
         ev = CostEvaluator(lambda m: 1.0, n=n)
         x = make_node(parse_element("11"), n)
         y = make_node(parse_element("10"), n)
-        graph = {x.element: x, y.element: y}
         r_lower = RestrictionSet(LOWER, n)
         r_upper = RestrictionSet(UPPER, n)
         before = (x.lower_adjacent, x.upper_adjacent, y.lower_adjacent, y.upper_adjacent)
-        node_pruning(x, y, graph, r_lower, r_upper, ev)
+        node_pruning(x, y, r_lower, r_upper, ev)
         assert not list(r_lower) and not list(r_upper)
         assert before == (x.lower_adjacent, x.upper_adjacent, y.lower_adjacent, y.upper_adjacent)
 
@@ -144,10 +147,9 @@ class TestPruning:
         ev = CostEvaluator(lambda m: costs[m], n=n)
         x = make_node(parse_element("01"), n)
         y = make_node(parse_element("11"), n)
-        graph = {x.element: x, y.element: y}
         r_lower = RestrictionSet(LOWER, n)
         r_upper = RestrictionSet(UPPER, n)
-        node_pruning(x, y, graph, r_lower, r_upper, ev)
+        node_pruning(x, y, r_lower, r_upper, ev)
         assert list(r_upper) == [parse_element("11")]
         assert y.upper_adjacent == 0
         assert x.upper_adjacent == 0  # lost its only upward bit (s1)
@@ -159,7 +161,7 @@ class TestPruning:
         x = make_node(0b111, n)
         y = make_node(0b001, n)
         with pytest.raises(ValueError):
-            node_pruning(x, y, {x.element: x, y.element: y}, RestrictionSet(LOWER, n), RestrictionSet(UPPER, n), ev)
+            node_pruning(x, y, RestrictionSet(LOWER, n), RestrictionSet(UPPER, n), ev)
 
 
 def seeded_dfs(instance, going_up=True):
@@ -219,6 +221,61 @@ class TestDfs:
             for x in removed:
                 if fn(x) == floor:
                     assert x in minima, f"n={n} lost removed minimum {x:0{n}b}"
+
+    @pytest.mark.parametrize("bitmap", [True, False])
+    def test_dead_nodes_are_never_expanded_or_flushed(self, monkeypatch, bitmap):
+        # a pruning call kills the visited elements it covers without making
+        # them members (tag 1); dfs must skip them on its stack and leave them
+        # out of the end-of-search flush, on both coverage paths
+        if not bitmap:
+            monkeypatch.setattr(ucurve.lattice, "_ACCEL_MAX_DEGREE", 0)
+        pushed, killed, expanded_dead, flushed_dead = set(), set(), [], []
+        pruning, kills = [], 0
+
+        def watch_pruning(prune):
+            def watched(y, r, on_event=None):
+                pruning.append(y)
+                prune(y, r, on_event)
+                pruning.pop()
+                killed.update(e for e in pushed if r.covered(e) == 1)
+
+            return watched
+
+        def watch_select(y, graph, n, r_lower, r_upper):
+            if y.element in killed:
+                expanded_dead.append(y.element)
+            return select(y, graph, n, r_lower, r_upper)
+
+        def on_event(event):
+            if event["event"] == "push":
+                pushed.add(event["element"])
+            elif event["event"] == "restrict" and not pruning and event["element"] in killed:
+                flushed_dead.append(event["element"])
+
+        select = ucurve.ucs.select_unvisited_adjacent
+        monkeypatch.setattr(ucurve.ucs, "select_unvisited_adjacent", watch_select)
+        monkeypatch.setattr(ucurve.ucs, "lower_pruning", watch_pruning(ucurve.ucs.lower_pruning))
+        monkeypatch.setattr(ucurve.ucs, "upper_pruning", watch_pruning(ucurve.ucs.upper_pruning))
+        for seed in range(30):
+            n = 5 + seed % 4
+            if seed % 2:
+                inst = generate_subset_sum_instance(n, 300 + seed)
+            else:
+                inst = generate_decomposable_explicit(n, 300 + seed)
+            r_lower = RestrictionSet(LOWER, n)
+            r_upper = RestrictionSet(UPPER, n)
+            assert (r_lower._cover is not None) is bitmap
+            a = minimal_element(n, r_lower)
+            r_lower.update(a)
+            pushed.add(a)
+            full = full_set(n)
+            dfs(Node(a, full ^ a, 0, full ^ a), n, r_lower, r_upper, CostEvaluator(inst), {}, on_event)
+            kills += len(killed)
+            pushed.clear()
+            killed.clear()
+        assert kills, "no pruning call ever killed a visited element"
+        assert not expanded_dead
+        assert not flushed_dead
 
 
 class TestSelectDirection:
@@ -457,3 +514,46 @@ class TestCoveragePathsAgree:
         assert RestrictionSet(LOWER, 8)._cover is None
         with_scan = self.trajectories(instances)
         assert with_scan == with_bitmap
+
+
+def reachable_optimum(instance):
+    """Exact subset-sum optimum from the set of reachable sums."""
+    sums = {0}
+    for w in instance.weights:
+        sums |= {s + w for s in sums}
+    return min(abs(instance.target - s) for s in sums)
+
+
+class TestAboveBitmapDegree:
+    """Above degree 20 coverage scans the antichain and returns its tags.
+
+    The seeds are ones that both solvers finish in a few thousand
+    evaluations or fewer. Most seeds at these degrees take far more, and
+    the scan makes each evaluation dearer as the antichain grows, so they
+    run for seconds to minutes.
+    """
+
+    @pytest.mark.parametrize("n, seed", [(22, 4), (22, 61), (22, 70), (24, 1), (24, 27), (24, 30)])
+    def test_exact_against_reachable_sums(self, n, seed):
+        assert RestrictionSet(LOWER, n)._cover is None
+        inst = generate_subset_sum_instance(n, seed)
+        optimum = reachable_optimum(inst)
+        assert ucs_solve(n, inst, seed=seed).best_cost == optimum
+        assert ubb_solve(n, inst).best_cost == optimum
+
+
+class TestSolversAgreeOnNoisyPlateaus:
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**30),
+        st.floats(min_value=0.01, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_best_costs_agree(self, n, seed, noise):
+        inst = generate_decomposable_explicit(n, seed, noise=noise)
+        expected = exhaustive_solve(n, inst).best_cost
+        assert ucs_solve(n, inst, seed=seed).best_cost == expected
+        assert ubb_solve(n, inst).best_cost == expected
+        with unittest.mock.patch.object(ucurve.lattice, "_ACCEL_MAX_DEGREE", 0):
+            assert RestrictionSet(LOWER, n)._cover is None
+            assert ucs_solve(n, inst, seed=seed).best_cost == expected
