@@ -23,7 +23,6 @@ from .cost import (
     mce_instance,
     save_instance,
     save_samples,
-    subset_sum_cost,
     verify_decomposable,
 )
 from .harness import (
@@ -38,9 +37,7 @@ from .lattice import (
     LOWER,
     UPPER,
     RestrictionSet,
-    adjacent_elements,
     full_set,
-    in_current_space,
     maximal_element,
     minimal_element,
     parse_element,
@@ -64,7 +61,6 @@ __all__ = [
     "SearchReport",
     "UPPER",
     "Witness",
-    "adjacent_elements",
     "dfs",
     "dynamics_profile",
     "exhaustive_solve",
@@ -73,7 +69,6 @@ __all__ = [
     "generate_decomposable_explicit",
     "generate_sample_table",
     "generate_subset_sum_instance",
-    "in_current_space",
     "legacy_ucurve_solve",
     "load_instance",
     "load_samples",
@@ -95,7 +90,6 @@ __all__ = [
     "select_unvisited_adjacent",
     "sffs_solve",
     "sfs_step",
-    "subset_sum_cost",
     "ubb_solve",
     "ucs_solve",
     "verify_decomposable",

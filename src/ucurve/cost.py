@@ -143,16 +143,6 @@ def checked_cost(fn: Callable[[int], float]) -> Callable[[int], float]:
     return checked
 
 
-def subset_sum_cost(weights, target: int, x: int) -> float:
-    """|target - sum of weights over the members of x|."""
-    s = 0
-    while x:
-        b = x & -x
-        s += weights[b.bit_length() - 1]
-        x ^= b
-    return float(abs(target - s))
-
-
 def mce_cost(samples: SampleTable, x: int) -> float:
     """Penalized mean conditional entropy of the label given the features in x.
 
@@ -264,9 +254,6 @@ class CostEvaluator:
         if self.cost_target is not None and value <= self.cost_target:
             self.target_reached = True
         return value
-
-    def known_cost(self, x: int) -> float | None:
-        return self.memo.get(x)
 
 
 class Witness(NamedTuple):

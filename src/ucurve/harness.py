@@ -29,7 +29,21 @@ OPTIMAL = "optimal"
 SUBOPTIMAL = "suboptimal"
 DYNAMICS = "dynamics"
 
-ALGORITHMS = ("ucs", "ubb", "sffs", "exhaustive", "ucurve-legacy")
+# name -> solver(instance, seed, p_up, on_event=, node_budget=, cost_target=).
+# Only ucs takes on_event; the others drop it, since run_solver refuses a
+# callback for them. Each entry calls its solver through the module global,
+# so a wrapper installed on that global sees the call.
+SOLVERS: dict[str, Callable[..., SearchReport]] = {
+    "ucs": lambda inst, seed, p_up, **kw: ucs_solve(inst.n, inst, seed=seed, p_up=p_up, **kw),
+    "ubb": lambda inst, seed, p_up, on_event, **kw: ubb_solve(inst.n, inst, **kw),
+    "sffs": lambda inst, seed, p_up, on_event, **kw: sffs_solve(inst.n, inst, **kw),
+    "exhaustive": lambda inst, seed, p_up, on_event, **kw: exhaustive_solve(inst.n, inst, **kw),
+    "ucurve-legacy": lambda inst, seed, p_up, on_event, **kw: legacy_ucurve_solve(
+        inst.n, inst, seed=seed, p_up=p_up, **kw
+    ),
+}
+
+ALGORITHMS = tuple(SOLVERS)
 
 
 def derive_seed(*parts) -> int:
@@ -147,23 +161,12 @@ def run_solver(
 ) -> SearchReport:
     if on_event is not None and algorithm != "ucs":
         raise ValueError("event tracing is only supported by the ucs solver")
-    if algorithm == "ucs":
-        return ucs_solve(
-            instance.n, instance, seed=seed, p_up=p_up,
-            node_budget=node_budget, cost_target=cost_target, on_event=on_event,
-        )
-    if algorithm == "ubb":
-        return ubb_solve(instance.n, instance, node_budget=node_budget, cost_target=cost_target)
-    if algorithm == "sffs":
-        return sffs_solve(instance.n, instance, node_budget=node_budget, cost_target=cost_target)
-    if algorithm == "exhaustive":
-        return exhaustive_solve(instance.n, instance, node_budget=node_budget, cost_target=cost_target)
-    if algorithm == "ucurve-legacy":
-        return legacy_ucurve_solve(
-            instance.n, instance, seed=seed, p_up=p_up,
-            node_budget=node_budget, cost_target=cost_target,
-        )
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    solver = SOLVERS.get(algorithm)
+    if solver is None:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return solver(
+        instance, seed, p_up, on_event=on_event, node_budget=node_budget, cost_target=cost_target
+    )
 
 
 def _run_task(task: dict) -> tuple:

@@ -5,9 +5,9 @@ Subsets of the ground set are plain ``int`` bit masks of width ``n``
 characteristic vector puts feature 0 in the leftmost character, so
 ``"1110"`` is the mask 0b0111. All solvers share this encoding.
 
-The module provides adjacency, the textual form, restriction antichains
-with interval coverage tests, and extraction of minimal/maximal elements
-of the remaining search space.
+The module provides the textual form, restriction antichains with
+interval coverage tests, and extraction of minimal/maximal elements of the
+remaining search space.
 """
 
 from __future__ import annotations
@@ -60,12 +60,6 @@ def parse_element(text: str, n: int | None = None) -> int:
         elif ch != "0":
             raise ValueError(f"invalid characteristic vector {text!r}")
     return x
-
-
-def adjacent_elements(x: int, n: int) -> list[int]:
-    """All elements at Hamming distance one from x, ascending bit index."""
-    check_element(x, n)
-    return [x ^ (1 << b) for b in range(n)]
 
 
 class RestrictionSet:
@@ -224,22 +218,12 @@ class RestrictionSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self._members)
 
-    def __contains__(self, x: int) -> bool:
-        return x in self._members
-
     def __repr__(self) -> str:
         vecs = [render_element(m, self.n) for m in self._members]
         return f"RestrictionSet({self.orientation}, n={self.n}, members={vecs})"
 
 
-def in_current_space(r_lower: RestrictionSet, r_upper: RestrictionSet, x: int) -> bool:
-    """True iff x survives both restriction collections."""
-    if r_lower.orientation != LOWER or r_upper.orientation != UPPER:
-        raise ValueError("in_current_space needs a LOWER and an UPPER collection")
-    return not r_lower.covers(x) and not r_upper.covers(x)
-
-
-def minimal_element(n: int, r_lower: RestrictionSet) -> int | None:
+def minimal_element(r_lower: RestrictionSet) -> int | None:
     """A minimal element of the space left by r_lower, or None if empty.
 
     The answer is the first uncovered mask in bit-reversed order, the order
@@ -252,23 +236,22 @@ def minimal_element(n: int, r_lower: RestrictionSet) -> int | None:
     bits decided so far and has bit b clear iff the current element with
     bit b cleared is uncovered; the pass is the lexicographic minimisation.
 
-    With a bitmap and n equal to the collection's degree, the collection's
-    cursor steps through that order instead. Coverage only ever grows, so
-    every mask the cursor has passed stays covered and the first uncovered
-    mask never lies behind it: the answer is the same element, and a whole
-    run of queries costs O(2**n) steps in total rather than O(n) lookups
-    per query. A step is a bit-reversed increment: clear the top bits while
-    they are set, then set the first clear one.
+    With a bitmap, the collection's cursor steps through that order
+    instead. Coverage only ever grows, so every mask the cursor has passed
+    stays covered and the first uncovered mask never lies behind it: the
+    answer is the same element, and a whole run of queries costs O(2**n)
+    steps in total rather than O(n) lookups per query. A step is a
+    bit-reversed increment: clear the top bits while they are set, then set
+    the first clear one.
     """
     if r_lower.orientation != LOWER:
         raise ValueError("minimal_element needs a LOWER restriction collection")
-    check_degree(n)
-    x = (1 << n) - 1
-    # the checked lookup of the full set vouches for every subset tried below
-    if r_lower.covers(x):
+    n = r_lower.n
+    x = r_lower._full
+    if r_lower.covered(x):
         return None
     cover = r_lower._cover
-    if cover is not None and n == r_lower.n:
+    if cover is not None:
         # the full set is uncovered, so a covered x always has a clear bit
         x = r_lower._cursor
         top = 1 << (n - 1)
@@ -290,7 +273,7 @@ def minimal_element(n: int, r_lower: RestrictionSet) -> int | None:
     return x
 
 
-def maximal_element(n: int, r_upper: RestrictionSet) -> int | None:
+def maximal_element(r_upper: RestrictionSet) -> int | None:
     """Dual of minimal_element over the space left by r_upper.
 
     The answer is the last uncovered mask in bit-reversed order; the cursor
@@ -298,13 +281,11 @@ def maximal_element(n: int, r_upper: RestrictionSet) -> int | None:
     """
     if r_upper.orientation != UPPER:
         raise ValueError("maximal_element needs an UPPER restriction collection")
-    check_degree(n)
-    # the supersets tried below stay inside the full set of degree n
-    check_element((1 << n) - 1, r_upper.n)
-    if r_upper.covers(0):
+    n = r_upper.n
+    if r_upper.covered(0):
         return None
     cover = r_upper._cover
-    if cover is not None and n == r_upper.n:
+    if cover is not None:
         # the empty set is uncovered, so a covered x always has a set bit
         x = r_upper._cursor
         top = 1 << (n - 1)

@@ -90,14 +90,14 @@ def legacy_ucurve_solve(
         while True:
             going_up = select_direction(rng, p_up) == UP
             if going_up:
-                a = minimal_element(n, r_lower)
+                a = minimal_element(r_lower)
                 if a is None:
                     break
                 if r_upper.covered(a):
                     r_lower.update(a)
                     continue
             else:
-                a = maximal_element(n, r_upper)
+                a = maximal_element(r_upper)
                 if a is None:
                     break
                 if r_lower.covered(a):

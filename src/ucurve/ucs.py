@@ -28,10 +28,12 @@ restrictions, each covering the proper subsets (supersets) of the element
 it inserts; so tag 1 marks exactly the nodes such a call has removed, and
 tags never go back. The DFS pops dead nodes when they reach its stack top.
 
-A run never shares state; minima accumulate as element -> cost pairs so
-the final filter needs no re-evaluation. The optional on_event callback
-receives one dict per push / pop / restriction update, which is what the
-CLI --trace flag and the instrumented no-minimum-loss tests consume.
+A run never shares state. Each node reads its cost from the evaluator
+once, when it is pushed, and the pruning rules read it off the node; the
+evaluator's memo is the run's one record of what it computed, and the
+report is drawn from it. The optional on_event callback receives one dict
+per push / pop / restriction update, which is what the CLI --trace flag
+and the instrumented no-minimum-loss tests consume.
 """
 
 from __future__ import annotations
@@ -59,9 +61,12 @@ EventCallback = Callable[[dict], None]
 
 
 class Node:
-    """A visited element plus neighbour bookkeeping masks."""
+    """A visited element, its cost and neighbour bookkeeping masks.
 
-    __slots__ = ("element", "unverified", "lower_adjacent", "upper_adjacent")
+    dfs sets cost when it pushes the node; until then the slot is unset.
+    """
+
+    __slots__ = ("element", "cost", "unverified", "lower_adjacent", "upper_adjacent")
 
     def __init__(self, element: int, unverified: int, lower_adjacent: int, upper_adjacent: int):
         self.element = element
@@ -154,7 +159,6 @@ def node_pruning(
     y: Node,
     r_lower: RestrictionSet,
     r_upper: RestrictionSet,
-    evaluator: CostEvaluator,
     on_event: EventCallback | None = None,
 ) -> None:
     """Prune around the adjacent pair (x, y) when one side is strictly cheaper.
@@ -164,8 +168,8 @@ def node_pruning(
     the removed neighbour, and the removed node's flag on that side empties.
     Equal costs fire nothing.
     """
-    cx = evaluator.evaluate(x.element)
-    cy = evaluator.evaluate(y.element)
+    cx = x.cost
+    cy = y.cost
     if cx == cy:
         return
     bit = x.element ^ y.element
@@ -197,16 +201,14 @@ def dfs(
     r_lower: RestrictionSet,
     r_upper: RestrictionSet,
     evaluator: CostEvaluator,
-    minima: dict[int, float],
     on_event: EventCallback | None = None,
-) -> dict[int, float]:
+) -> None:
     """Depth-first search from m_node, shrinking the space as it prunes.
 
-    Every pushed element lands in minima with its cost (the accumulator
-    over-collects; the caller's final filter keeps only the cheapest). On a
-    node-budget stop the exception propagates with minima already holding
-    everything evaluated so far; on a cost-target hit the search returns
-    immediately.
+    m_node and every node pushed after it get their cost from the evaluator
+    once, on push; the evaluator's memo keeps what the search computed. On
+    a node-budget stop the exception propagates; on a cost-target hit the
+    search returns immediately.
 
     Before an empty flag licenses an interval removal, every neighbour on
     that side is checked to be covered; a node whose flag claims otherwise
@@ -219,10 +221,9 @@ def dfs(
     """
     lower_covered = r_lower.covered
     upper_covered = r_upper.covered
-    cm = evaluator.evaluate(m_node.element)
-    minima[m_node.element] = cm
+    m_node.cost = evaluator.evaluate(m_node.element)
     if evaluator.target_reached:
-        return minima
+        return
     graph: dict[int, Node] = {m_node.element: m_node}
     stack: list[Node] = [m_node]
     while stack:
@@ -231,7 +232,7 @@ def dfs(
         if lower_covered(ye) == 1 or upper_covered(ye) == 1 or graph.get(ye) is not y:
             stack.pop()
             continue
-        cy = evaluator.evaluate(ye)
+        cy = y.cost
         while True:
             x = select_unvisited_adjacent(y, graph, n, r_lower, r_upper)
             if x is None:
@@ -241,13 +242,12 @@ def dfs(
                 break
             stack.append(x)
             graph[x.element] = x
-            cx = evaluator.evaluate(x.element)
-            minima[x.element] = cx
+            cx = x.cost = evaluator.evaluate(x.element)
             if on_event:
                 on_event({"event": "push", "element": x.element, "cost": cx})
             if evaluator.target_reached:
-                return minima
-            node_pruning(x, y, r_lower, r_upper, evaluator, on_event)
+                return
+            node_pruning(x, y, r_lower, r_upper, on_event)
             if cx <= cy:
                 break
         if not y.lower_adjacent and not lower_covered(ye):
@@ -277,7 +277,6 @@ def dfs(
             r_upper.update(node.element)
             if on_event:
                 on_event({"event": "restrict", "side": "upper", "element": node.element})
-    return minima
 
 
 def ucs_solve(
@@ -301,7 +300,6 @@ def ucs_solve(
     full = full_set(n)
     r_lower = RestrictionSet(LOWER, n)
     r_upper = RestrictionSet(UPPER, n)
-    minima: dict[int, float] = {}
     dfs_calls = 0
     minmax_calls = 0
     budget_exhausted = False
@@ -311,16 +309,16 @@ def ucs_solve(
             going_up = select_direction(rng, p_up) == UP
             minmax_calls += 1
             if going_up:
-                a = minimal_element(n, r_lower)
+                a = minimal_element(r_lower)
             else:
-                a = maximal_element(n, r_upper)
+                a = maximal_element(r_upper)
             if a is None:
                 break
             blocked = r_lower.covered(a) if not going_up else r_upper.covered(a)
             if not blocked:
-                minima[a] = ev.evaluate(a)
+                cost_a = ev.evaluate(a)
                 if on_event:
-                    on_event({"event": "push", "element": a, "cost": minima[a]})
+                    on_event({"event": "push", "element": a, "cost": cost_a})
             if going_up:
                 r_lower.update(a)
                 if on_event:
@@ -338,7 +336,7 @@ def ucs_solve(
             else:
                 seed_node = Node(a, a, a, 0)
             dfs_calls += 1
-            dfs(seed_node, n, r_lower, r_upper, ev, minima, on_event)
+            dfs(seed_node, n, r_lower, r_upper, ev, on_event)
             if ev.target_reached:
                 break
     except BudgetExhausted:
@@ -347,7 +345,7 @@ def ucs_solve(
         "ucs",
         n,
         ev,
-        minima,
+        ev.memo,
         started,
         dfs_calls=dfs_calls,
         minmax_calls=minmax_calls,

@@ -1,7 +1,20 @@
 import pytest
 
 from ucurve.cost import Instance
-from ucurve.lattice import LOWER, UPPER, RestrictionSet
+from ucurve.lattice import LOWER, UPPER, RestrictionSet, check_element
+
+
+def adjacent_elements(x: int, n: int) -> list[int]:
+    """All elements at Hamming distance one from x, ascending bit index."""
+    check_element(x, n)
+    return [x ^ (1 << b) for b in range(n)]
+
+
+def in_current_space(r_lower: RestrictionSet, r_upper: RestrictionSet, x: int) -> bool:
+    """True iff x survives both restriction collections."""
+    if r_lower.orientation != LOWER or r_upper.orientation != UPPER:
+        raise ValueError("in_current_space needs a LOWER and an UPPER collection")
+    return not r_lower.covers(x) and not r_upper.covers(x)
 
 
 def brute_minima(instance: Instance) -> tuple[set[int], float]:

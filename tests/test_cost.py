@@ -18,7 +18,6 @@ from ucurve.cost import (
     mce_cost,
     save_instance,
     save_samples,
-    subset_sum_cost,
     verify_decomposable,
 )
 from ucurve.lattice import parse_element
@@ -39,6 +38,12 @@ def brute_decomposable(instance):
                 if cost[y] > max(cost[z], cost[x]):
                     return False
     return True
+
+
+def subset_sum_cost(weights, target, x):
+    """The cost of x under the package's one subset-sum implementation."""
+    instance = Instance(n=len(weights), kind="subset_sum", weights=weights, target=target)
+    return instance.cost_function()(x)
 
 
 class TestSubsetSumCost:

@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import adjacent_elements, in_current_space
 from ucurve.lattice import (
     LOWER,
     UPPER,
     RestrictionSet,
-    adjacent_elements,
     full_set,
-    in_current_space,
     maximal_element,
     minimal_element,
     parse_element,
@@ -210,7 +209,7 @@ class TestBitmapAntichain:
             tagged = [m for m in range(full + 1) if fast._cover[m] == 2]
             assert tagged == sorted(fast.members)
             for m in range(full + 1):
-                assert (m in fast) == (m in slow) == (fast._cover[m] == 2)
+                assert (m in fast.members) == (m in slow.members) == (fast._cover[m] == 2)
                 assert slow.covered(m) == fast._cover[m]  # the scan path returns tags too
 
     def test_absorbs_several_members_at_once(self):
@@ -254,26 +253,20 @@ class TestBitmapAntichain:
 
 class TestMinMaxElements:
     def test_minimal_examples(self):
-        assert minimal_element(2, lower_set(2, [])) == 0
-        assert minimal_element(2, lower_set(2, [parse_element("11")])) is None
-        assert minimal_element(2, lower_set(2, [parse_element("10"), parse_element("01")])) == 0b11
+        assert minimal_element(lower_set(2, [])) == 0
+        assert minimal_element(lower_set(2, [parse_element("11")])) is None
+        assert minimal_element(lower_set(2, [parse_element("10"), parse_element("01")])) == 0b11
 
     def test_maximal_examples(self):
-        assert maximal_element(2, upper_set(2, [])) == 0b11
-        assert maximal_element(2, upper_set(2, [parse_element("00")])) is None
-        assert maximal_element(2, upper_set(2, [parse_element("10"), parse_element("01")])) == 0
+        assert maximal_element(upper_set(2, [])) == 0b11
+        assert maximal_element(upper_set(2, [parse_element("00")])) is None
+        assert maximal_element(upper_set(2, [parse_element("10"), parse_element("01")])) == 0
 
     def test_orientation_checked(self):
         with pytest.raises(ValueError):
-            minimal_element(2, upper_set(2, []))
+            minimal_element(upper_set(2, []))
         with pytest.raises(ValueError):
-            maximal_element(2, lower_set(2, []))
-
-    def test_degree_larger_than_the_collection_rejected(self):
-        with pytest.raises(ValueError):
-            minimal_element(3, lower_set(2, []))
-        with pytest.raises(ValueError):
-            maximal_element(3, upper_set(2, []))
+            maximal_element(lower_set(2, []))
 
     @given(st.integers(min_value=1, max_value=10), st.data())
     @settings(max_examples=200)
@@ -282,7 +275,7 @@ class TestMinMaxElements:
         members = data.draw(st.lists(st.integers(0, full), max_size=5))
         r = lower_set(n, members)
         survivors = [x for x in range(full + 1) if not brute_covers(LOWER, r.members, x)]
-        got = minimal_element(n, r)
+        got = minimal_element(r)
         if not survivors:
             assert got is None
         else:
@@ -298,7 +291,7 @@ class TestMinMaxElements:
         members = data.draw(st.lists(st.integers(0, full), max_size=5))
         r = upper_set(n, members)
         survivors = [x for x in range(full + 1) if not brute_covers(UPPER, r.members, x)]
-        got = maximal_element(n, r)
+        got = maximal_element(r)
         if not survivors:
             assert got is None
         else:
@@ -336,10 +329,10 @@ class TestMinMaxElements:
                 r = r_lower if op == "min" else r_upper
                 uncovered = [m for m in range(full + 1) if not r.covers(m)]
                 if op == "min":
-                    got, reference = minimal_element(n, r), greedy_minimal(n, r)
+                    got, reference = minimal_element(r), greedy_minimal(n, r)
                     pick = min
                 else:
-                    got, reference = maximal_element(n, r), greedy_maximal(n, r)
+                    got, reference = maximal_element(r), greedy_maximal(n, r)
                     pick = max
                 assert got == reference
                 expected = pick(uncovered, key=lambda m: bit_reversed(m, n)) if uncovered else None

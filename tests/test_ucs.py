@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ucurve.lattice
 import ucurve.ucs
-from conftest import NoMinimumLossObserver, brute_minima
+from conftest import NoMinimumLossObserver, brute_minima, in_current_space
 from ucurve.cost import (
     CostEvaluator,
     Instance,
@@ -25,7 +25,6 @@ from ucurve.lattice import (
     UPPER,
     RestrictionSet,
     full_set,
-    in_current_space,
     minimal_element,
     parse_element,
 )
@@ -117,12 +116,12 @@ class TestPruning:
         # X=11 cheaper than its lower neighbour Y=10: Y's down interval goes
         n = 2
         costs = {0b00: 9.0, 0b01: 2.0, 0b10: 9.0, 0b11: 1.0}
-        ev = CostEvaluator(lambda m: costs[m], n=n)
         x = make_node(parse_element("11"), n)
         y = make_node(parse_element("10"), n)
+        x.cost, y.cost = costs[x.element], costs[y.element]
         r_lower = RestrictionSet(LOWER, n)
         r_upper = RestrictionSet(UPPER, n)
-        node_pruning(x, y, r_lower, r_upper, ev)
+        node_pruning(x, y, r_lower, r_upper)
         assert list(r_lower) == [parse_element("10")]
         assert x.lower_adjacent == parse_element("10")  # lost the bit toward y
         assert y.lower_adjacent == 0
@@ -130,13 +129,13 @@ class TestPruning:
 
     def test_node_pruning_equal_costs_fire_nothing(self):
         n = 2
-        ev = CostEvaluator(lambda m: 1.0, n=n)
         x = make_node(parse_element("11"), n)
         y = make_node(parse_element("10"), n)
+        x.cost = y.cost = 1.0
         r_lower = RestrictionSet(LOWER, n)
         r_upper = RestrictionSet(UPPER, n)
         before = (x.lower_adjacent, x.upper_adjacent, y.lower_adjacent, y.upper_adjacent)
-        node_pruning(x, y, r_lower, r_upper, ev)
+        node_pruning(x, y, r_lower, r_upper)
         assert not list(r_lower) and not list(r_upper)
         assert before == (x.lower_adjacent, x.upper_adjacent, y.lower_adjacent, y.upper_adjacent)
 
@@ -144,12 +143,12 @@ class TestPruning:
         # X=01 cheaper than its upper neighbour Y=11: Y's up interval goes
         n = 2
         costs = {0b00: 9.0, 0b10: 0.0, 0b01: 9.0, 0b11: 3.0}
-        ev = CostEvaluator(lambda m: costs[m], n=n)
         x = make_node(parse_element("01"), n)
         y = make_node(parse_element("11"), n)
+        x.cost, y.cost = costs[x.element], costs[y.element]
         r_lower = RestrictionSet(LOWER, n)
         r_upper = RestrictionSet(UPPER, n)
-        node_pruning(x, y, r_lower, r_upper, ev)
+        node_pruning(x, y, r_lower, r_upper)
         assert list(r_upper) == [parse_element("11")]
         assert y.upper_adjacent == 0
         assert x.upper_adjacent == 0  # lost its only upward bit (s1)
@@ -157,11 +156,11 @@ class TestPruning:
 
     def test_node_pruning_requires_adjacency(self):
         n = 3
-        ev = CostEvaluator(lambda m: float(m), n=n)
         x = make_node(0b111, n)
         y = make_node(0b001, n)
+        x.cost, y.cost = float(x.element), float(y.element)
         with pytest.raises(ValueError):
-            node_pruning(x, y, RestrictionSet(LOWER, n), RestrictionSet(UPPER, n), ev)
+            node_pruning(x, y, RestrictionSet(LOWER, n), RestrictionSet(UPPER, n))
 
 
 def seeded_dfs(instance, going_up=True):
@@ -171,24 +170,24 @@ def seeded_dfs(instance, going_up=True):
     r_lower = RestrictionSet(LOWER, n)
     r_upper = RestrictionSet(UPPER, n)
     full = full_set(n)
-    a = minimal_element(n, r_lower)
+    a = minimal_element(r_lower)
     r_lower.update(a)
     node = Node(a, full ^ a, 0, full ^ a)
-    minima = dfs(node, n, r_lower, r_upper, ev, {})
-    return minima, r_lower, r_upper, ev
+    dfs(node, n, r_lower, r_upper, ev)
+    return r_lower, r_upper, ev
 
 
 class TestDfs:
     def test_constant_cost_n1_exhausts_space(self):
         inst = Instance(n=1, kind="explicit", costs=(0.0, 0.0))
-        minima, r_lower, r_upper, _ = seeded_dfs(inst)
-        assert set(minima) >= {0, 1}
+        r_lower, r_upper, ev = seeded_dfs(inst)
+        assert set(ev.memo) >= {0, 1}
         for x in (0, 1):
             assert not in_current_space(r_lower, r_upper, x)
 
     def test_n2_example_collects_optimum(self, explicit_n2):
-        minima, _, _, _ = seeded_dfs(explicit_n2)
-        assert parse_element("10") in minima
+        _, _, ev = seeded_dfs(explicit_n2)
+        assert parse_element("10") in ev.memo
 
     def test_removed_minima_always_collected(self):
         rng = random.Random(99)
@@ -203,7 +202,7 @@ class TestDfs:
                 r_lower.update(rng.randrange(1 << n))
             for _ in range(rng.randint(0, 2)):
                 r_upper.update(rng.randrange(1 << n))
-            a = minimal_element(n, r_lower)
+            a = minimal_element(r_lower)
             if a is None:
                 continue
             r_lower.update(a)
@@ -211,7 +210,7 @@ class TestDfs:
                 continue
             before = {x for x in range(1 << n) if in_current_space(r_lower, r_upper, x)}
             node = Node(a, full_set(n) ^ a, 0, full_set(n) ^ a)
-            minima = dfs(node, n, r_lower, r_upper, ev, {})
+            dfs(node, n, r_lower, r_upper, ev)
             after = {x for x in range(1 << n) if in_current_space(r_lower, r_upper, x)}
             removed = before - after
             if not removed:
@@ -220,7 +219,7 @@ class TestDfs:
             floor = min(fn(x) for x in removed)
             for x in removed:
                 if fn(x) == floor:
-                    assert x in minima, f"n={n} lost removed minimum {x:0{n}b}"
+                    assert x in ev.memo, f"n={n} lost removed minimum {x:0{n}b}"
 
     @pytest.mark.parametrize("bitmap", [True, False])
     def test_dead_nodes_are_never_expanded_or_flushed(self, monkeypatch, bitmap):
@@ -265,11 +264,11 @@ class TestDfs:
             r_lower = RestrictionSet(LOWER, n)
             r_upper = RestrictionSet(UPPER, n)
             assert (r_lower._cover is not None) is bitmap
-            a = minimal_element(n, r_lower)
+            a = minimal_element(r_lower)
             r_lower.update(a)
             pushed.add(a)
             full = full_set(n)
-            dfs(Node(a, full ^ a, 0, full ^ a), n, r_lower, r_upper, CostEvaluator(inst), {}, on_event)
+            dfs(Node(a, full ^ a, 0, full ^ a), n, r_lower, r_upper, CostEvaluator(inst), on_event)
             kills += len(killed)
             pushed.clear()
             killed.clear()
@@ -353,7 +352,7 @@ class TestUcsSolve:
         assert a.minmax_calls == b.minmax_calls
 
     def test_every_evaluated_element_is_collected(self):
-        # the minima accumulator and the memo agree for this solver
+        # every element the solver evaluated was pushed, and the memo holds them all
         inst = generate_subset_sum_instance(7, 3)
         ev = CostEvaluator(inst)
         minima_seen = set()
@@ -453,7 +452,7 @@ class TestFlagSoundnessCheck:
         # none is left; nothing is unverified, so the seed pops at once
         seed = Node(0b011, 0, lower_adjacent, upper_adjacent)
         with pytest.raises(RuntimeError, match=f"unsound {side} flag"):
-            dfs(seed, n, r_lower, r_upper, ev, {})
+            dfs(seed, n, r_lower, r_upper, ev)
         assert len(r_lower) == len(r_upper) == 0
 
     def test_check_survives_optimized_mode(self):
@@ -464,7 +463,7 @@ class TestFlagSoundnessCheck:
             "assert False, 'assertions are on'\n"
             "try:\n"
             "    dfs(Node(0b011, 0, 0, 0b100), 3, RestrictionSet(LOWER, 3),\n"
-            "        RestrictionSet(UPPER, 3), CostEvaluator(float, n=3), {})\n"
+            "        RestrictionSet(UPPER, 3), CostEvaluator(float, n=3))\n"
             "except RuntimeError as exc:\n"
             "    print('raised:', exc)\n"
         )

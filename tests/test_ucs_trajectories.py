@@ -1,0 +1,116 @@
+"""Golden ucs trajectories.
+
+``fixtures/ucs_trajectories.json`` pins, for 40 cases, what ucs computed,
+how it got there and what it reported: four instance kinds (subset sum,
+plateau and noisy decomposable explicit tables, mean conditional entropy),
+each run unbudgeted, under a node budget and under a cost target. A
+refactor of the search must reproduce every record on both coverage paths.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+import ucurve.lattice
+from ucurve.cost import (
+    CostEvaluator,
+    generate_decomposable_explicit,
+    generate_sample_table,
+    generate_subset_sum_instance,
+    mce_instance,
+)
+from ucurve.oracle import exhaustive_solve
+from ucurve.ucs import ucs_solve
+
+FIXTURE = Path(__file__).parent / "fixtures" / "ucs_trajectories.json"
+
+STOPS = ("none", "budget", "target")
+
+CASES = [
+    {"kind": kind, "n": 8 + i % 3, "seed": 500 + i, "stop": STOPS[i % 3]}
+    for kind in ("subset_sum", "plateau", "noisy", "mce")
+    for i in range(10)
+]
+
+
+def build_instance(case):
+    n, seed = case["n"], case["seed"]
+    if case["kind"] == "subset_sum":
+        return generate_subset_sum_instance(n, seed)
+    if case["kind"] == "plateau":
+        return generate_decomposable_explicit(n, seed)
+    if case["kind"] == "noisy":
+        return generate_decomposable_explicit(n, seed, noise=0.3)
+    return mce_instance(generate_sample_table(n, 80, seed))
+
+
+def run(case):
+    """The ucs report and event stream for one case."""
+    inst = build_instance(case)
+    n = inst.n
+    stops = {}
+    if case["stop"] == "budget":
+        stops["node_budget"] = 2**n // 4
+    elif case["stop"] == "target":
+        stops["cost_target"] = exhaustive_solve(n, inst).best_cost
+    events = []
+    report = ucs_solve(n, inst, seed=case["seed"], on_event=events.append, **stops)
+    return report, events
+
+
+def trajectory(case):
+    report, events = run(case)
+    stream = json.dumps(events, sort_keys=True).encode()
+    return {
+        "computed_nodes": report.computed_nodes,
+        "dfs_calls": report.dfs_calls,
+        "minmax_calls": report.minmax_calls,
+        "minima": report.minima_vectors(),
+        "best_cost": report.best_cost,
+        "events_sha256": hashlib.sha256(stream).hexdigest(),
+    }
+
+
+class TestGoldenTrajectories:
+    """Each fixture record: the case, then what ucs made of it.
+
+    The fixture was generated from the ``tests`` directory with::
+
+        PYTHONPATH=../src python -c "
+        import json, test_ucs_trajectories as t
+        records = [dict(c, **t.trajectory(c)) for c in t.CASES]
+        open('fixtures/ucs_trajectories.json', 'w').write(json.dumps(records, indent=1) + '\\n')"
+    """
+
+    @pytest.mark.parametrize("bitmap", [True, False])
+    def test_fixture_reproduced(self, monkeypatch, bitmap):
+        if not bitmap:
+            monkeypatch.setattr(ucurve.lattice, "_ACCEL_MAX_DEGREE", 0)
+        records = json.loads(FIXTURE.read_text(encoding="utf-8"))
+        assert [{k: r[k] for k in CASES[0]} for r in records] == CASES
+        for record in records:
+            case = {k: record[k] for k in CASES[0]}
+            expected = {k: v for k, v in record.items() if k not in case}
+            assert trajectory(case) == expected, case
+
+    def test_each_cost_is_read_once(self, monkeypatch):
+        # an unbudgeted run asks the evaluator once per push event and once
+        # per DFS seed, and for nothing it already holds
+        calls = 0
+        evaluate = CostEvaluator.evaluate
+
+        def counted(self, x):
+            nonlocal calls
+            calls += 1
+            return evaluate(self, x)
+
+        monkeypatch.setattr(CostEvaluator, "evaluate", counted)
+        for case in CASES:
+            if case["stop"] != "none":
+                continue
+            calls = 0
+            report, events = run(case)
+            pushes = sum(1 for e in events if e["event"] == "push")
+            assert calls == pushes + report.dfs_calls, case
