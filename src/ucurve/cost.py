@@ -10,7 +10,10 @@ Three instance kinds are supported:
   regression fixtures (searched counter-examples in particular).
 * ``mce``: a penalized mean conditional entropy over a binary sample
   table, the cost used for classifier window design. Not guaranteed
-  U-shaped on empirical data.
+  U-shaped on empirical data. ``mce_cost`` is the reference definition,
+  a scan over every row. The instance's cost function is a kernel that
+  refines per-feature row bitsets for narrow masks and hands wider ones
+  to ``mce_cost``; it must equal ``mce_cost`` bit for bit on every mask.
 
 The CostEvaluator wraps a cost function with memoization, the
 computed-nodes counter shared by every solver comparison, wall-time
@@ -51,10 +54,12 @@ class SampleTable:
         check_degree(self.n)
         if not self.rows:
             raise ValueError("a sample table needs at least one row")
+        n = self.n
         for x, y in self.rows:
-            check_element(x, self.n)
-            if y not in (0, 1):
-                raise ValueError(f"labels must be 0 or 1, got {y!r}")
+            if type(x) is not int or x < 0 or x >> n:
+                raise ValueError(f"row masks must be ints in range for degree {n}, got {x!r}")
+            if type(y) is not int or y not in (0, 1):
+                raise ValueError(f"labels must be the int 0 or 1, got {y!r}")
 
     @property
     def t(self) -> int:
@@ -78,6 +83,8 @@ class Instance:
                 raise ValueError("subset_sum instances need weights and target")
             if len(self.weights) != self.n:
                 raise ValueError("weights length must equal the degree")
+            if not all(type(v) is int for v in (*self.weights, self.target)):
+                raise ValueError("weights and target must be ints")
             if any(w < 0 for w in self.weights) or self.target < 0:
                 raise ValueError("weights and target must be non-negative")
         elif self.kind == EXPLICIT:
@@ -113,8 +120,7 @@ class Instance:
         if self.kind == EXPLICIT:
             table = self.costs
             return lambda x: table[x]
-        samples = self.samples
-        return lambda x: mce_cost(samples, x)
+        return _mce_kernel(self.samples)
 
 
 def is_finite_number(value) -> bool:
@@ -150,6 +156,11 @@ def mce_cost(samples: SampleTable, x: int) -> float:
     across rows). Values observed exactly once contribute 1/t each; values
     observed at least twice contribute their empirical weight times the
     binary entropy (bits) of the label within the group, with 0*log 0 = 0.
+    The groups' terms are summed in the order of each group's first row.
+
+    This is the reference definition. The ``mce`` instance kernel
+    (``_mce_kernel``) computes narrow masks another way and must return
+    the same float, bit for bit; wider masks it passes here.
     """
     check_element(x, samples.n)
     counts: dict[int, list[int]] = {}
@@ -172,6 +183,79 @@ def mce_cost(samples: SampleTable, x: int) -> float:
             p1 = c1 / total
             acc += -(p0 * math.log2(p0) + p1 * math.log2(p1)) * (total / t)
     return singletons / t + acc
+
+
+# A mask of s features splits the rows into at most 2**s parts. The kernel
+# refines bitsets only while that is at most 64 parts (about 8 bytes per row)
+# and the table has at least 8 rows per possible part; past either bound the
+# bitset operations cost more than the row scan of mce_cost.
+_KERNEL_MAX_WIDTH = 6
+_KERNEL_ROWS_PER_PART = 8
+
+
+def _mce_kernel(samples: SampleTable) -> Callable[[int], float]:
+    """The mce cost of a sample table, computed from row bitsets where that is cheaper.
+
+    Bit i of a feature's bitset is set when row i has the feature, and bit i
+    of the label bitset when row i has label 1. A narrow mask refines the
+    row partition one feature at a time; each part carries its bitset, its
+    row count and its label-1 count, and a one-row part leaves as a
+    singleton. The mixed parts' terms are summed in the order of each part's
+    first row, the order in which mce_cost meets its groups, so the float is
+    the same. The bitsets are built here, once per cost function, not when
+    the table is.
+    """
+    n, t = samples.n, samples.t
+    width = f"0{n}b"
+    rows = samples.rows[::-1]
+    # column j of the rendered rows holds feature n-1-j, row 0 lowest
+    columns = zip(*(format(x, width) for x, _ in rows))
+    features = [int("".join(column), 2) for column in columns][::-1]
+    labels = int("".join("01"[y] for _, y in rows), 2)
+    all_rows = ((1 << t) - 1, t, labels.bit_count())
+
+    def mce(x: int) -> float:
+        check_element(x, n)
+        s = x.bit_count()
+        if s > _KERNEL_MAX_WIDTH or t < _KERNEL_ROWS_PER_PART << s:
+            return mce_cost(samples, x)
+        parts = [all_rows]
+        singletons = 0
+        while x:
+            b = x & -x
+            x ^= b
+            feature = features[b.bit_length() - 1]
+            refined = []
+            for part in parts:
+                rows_in, count, ones = part
+                inside = rows_in & feature
+                count_in = inside.bit_count()
+                if count_in == 0 or count_in == count:
+                    refined.append(part)
+                    continue
+                ones_in = (inside & labels).bit_count()
+                for piece in (
+                    (inside, count_in, ones_in),
+                    (rows_in ^ inside, count - count_in, ones - ones_in),
+                ):
+                    if piece[1] == 1:
+                        singletons += 1
+                    else:
+                        refined.append(piece)
+            parts = refined
+        mixed = sorted(
+            ((rows_in & -rows_in).bit_length(), count, ones)
+            for rows_in, count, ones in parts
+            if 0 < ones < count
+        )
+        acc = 0.0
+        for _, total, c1 in mixed:
+            p0 = (total - c1) / total
+            p1 = c1 / total
+            acc += -(p0 * math.log2(p0) + p1 * math.log2(p1)) * (total / t)
+        return singletons / t + acc
+
+    return mce
 
 
 class BudgetExhausted(Exception):
@@ -276,8 +360,8 @@ def verify_decomposable(
     violation at y exists iff some subset of y and some superset of y are
     both strictly cheaper, so per-element subset/superset minima decide it.
     Sampled mode draws random maximal chains (seeded permutations) and
-    checks every index triple along each. Returns the first violating
-    triple found, or None.
+    checks every index triple along each, evaluating each distinct mask
+    once. Returns the first violating triple found, or None.
     """
     fn = instance.cost_function()
     n = instance.n
@@ -308,6 +392,7 @@ def verify_decomposable(
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     rng = random.Random(seed)
     order = list(range(n))
+    seen: dict[int, float] = {}
     for _ in range(chains):
         rng.shuffle(order)
         chain = [0]
@@ -315,7 +400,10 @@ def verify_decomposable(
         for b in order:
             m |= 1 << b
             chain.append(m)
-        values = [fn(e) for e in chain]
+        for e in chain:
+            if e not in seen:
+                seen[e] = fn(e)
+        values = [seen[e] for e in chain]
         for j in range(1, n):
             vj = values[j]
             i = next((i for i in range(j) if values[i] < vj), None)

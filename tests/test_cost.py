@@ -16,6 +16,7 @@ from ucurve.cost import (
     load_instance,
     load_samples,
     mce_cost,
+    mce_instance,
     save_instance,
     save_samples,
     verify_decomposable,
@@ -146,6 +147,118 @@ class TestMce:
         assert 0.0 <= value <= 1.0 + 1e-12
 
 
+def kernel_equals_reference(table):
+    """The instance kernel against the reference scan on every mask, compared with ==."""
+    fn = mce_instance(table).cost_function()
+    for x in range(1 << table.n):
+        assert fn(x) == mce_cost(table, x), (x, fn(x), mce_cost(table, x))
+
+
+class TestMceKernel:
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference_on_small_tables(self, n, data):
+        rows = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, 1)),
+                min_size=1,
+                max_size=40,
+            )
+        )
+        kernel_equals_reference(SampleTable(n=n, rows=tuple(rows)))
+
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_reference_where_the_bitsets_refine(self, n, data):
+        # 64..300 rows put masks of width up to 5 on the bitset path
+        rows = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, 1)),
+                min_size=64,
+                max_size=300,
+            )
+        )
+        kernel_equals_reference(SampleTable(n=n, rows=tuple(rows)))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((5, 1),),  # t = 1
+            ((3, 0),) * 20 + ((1, 1),) * 20,  # duplicate rows
+            tuple((x % 16, 1) for x in range(70)),  # one label only
+            tuple((x % 16, int(x % 3 == 0)) for x in range(70)),  # bitsets up to width 3
+        ],
+    )
+    def test_equals_reference_on_edge_tables(self, rows):
+        kernel_equals_reference(SampleTable(n=4, rows=rows))
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_equals_reference_on_every_mask_of_a_wide_table(self, seed):
+        kernel_equals_reference(generate_sample_table(12, 1000, seed))
+
+    def test_scan_runs_only_outside_the_rule(self, monkeypatch):
+        import ucurve.cost as costmod
+
+        calls = []
+        reference = costmod.mce_cost
+
+        def counted(samples, x):
+            calls.append(x)
+            return reference(samples, x)
+
+        monkeypatch.setattr(costmod, "mce_cost", counted)
+        wide = mce_instance(generate_sample_table(12, 2000, 4)).cost_function()
+        for x in range(1 << 12):
+            if x.bit_count() <= 6:
+                wide(x)
+        assert calls == []
+        sevens = [x for x in range(1 << 12) if x.bit_count() == 7][:5]
+        for x in sevens:
+            wide(x)
+        assert calls == sevens
+        # the row bound: width 6 needs 8 * 2**6 = 512 rows
+        del calls[:]
+        six = 0b111111
+        short = generate_sample_table(12, 511, 4)
+        mce_instance(short).cost_function()(six)
+        assert calls == [six]
+        del calls[:]
+        mce_instance(generate_sample_table(12, 512, 4)).cost_function()(six)
+        assert calls == []
+
+    @pytest.mark.parametrize("x", [-1, 1 << 12, 1 << 40])
+    def test_out_of_range_mask_rejected(self, x):
+        table = generate_sample_table(12, 1000, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            mce_cost(table, x)
+        with pytest.raises(ValueError, match="out of range"):
+            mce_instance(table).cost_function()(x)
+
+
+class TestSampleTableRows:
+    @pytest.mark.parametrize("label", [1.0, 0.0, True, False, "1", None, 2])
+    def test_label_must_be_int_zero_or_one(self, label):
+        with pytest.raises(ValueError, match="label"):
+            SampleTable(n=1, rows=((0, 1), (1, label)))
+
+    @pytest.mark.parametrize("mask", [1.0, "1", None, True])
+    def test_row_mask_must_be_int(self, mask):
+        with pytest.raises(ValueError, match="mask"):
+            SampleTable(n=1, rows=((mask, 1), (1, 0)))
+
+
+class TestSubsetSumInputs:
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, True, 1.0])
+    def test_weights_must_be_ints(self, bad):
+        with pytest.raises(ValueError, match="ints"):
+            Instance(n=2, kind="subset_sum", weights=(bad, 1), target=1)
+
+    @pytest.mark.parametrize("bad", [1.0, float("inf"), float("nan"), False])
+    def test_target_must_be_int(self, bad):
+        with pytest.raises(ValueError, match="ints"):
+            Instance(n=2, kind="subset_sum", weights=(2, 1), target=bad)
+
+
 class TestVerifyDecomposable:
     def test_constant_ok(self):
         inst = Instance(n=3, kind="explicit", costs=(1.0,) * 8)
@@ -172,6 +285,45 @@ class TestVerifyDecomposable:
         fn = inst.cost_function()
         assert z & ~y == 0 and y & ~x == 0
         assert fn(y) > max(fn(z), fn(x))
+
+    def test_sampled_evaluates_each_distinct_mask_once(self, monkeypatch):
+        import random
+
+        calls = []
+        cost_function = Instance.cost_function
+
+        def counted(instance):
+            fn = cost_function(instance)
+
+            def wrapped(x):
+                calls.append(x)
+                return fn(x)
+
+            return wrapped
+
+        monkeypatch.setattr(Instance, "cost_function", counted)
+        inst = generate_subset_sum_instance(8, 5)  # U-shaped: every chain is walked
+        assert verify_decomposable(inst, mode="sampled", chains=120, seed=3) is None
+        rng = random.Random(3)
+        order = list(range(8))
+        masks = {0}
+        for _ in range(120):
+            rng.shuffle(order)
+            m = 0
+            for b in order:
+                m |= 1 << b
+                masks.add(m)
+        assert len(calls) == len(masks) < 9 * 120
+        assert set(calls) == masks
+
+    @pytest.mark.parametrize(
+        "seed, triple",
+        [(0, (446, 959, 1023)), (1, (1001, 1019, 1023)), (2, (764, 1022, 1023)), (3, (506, 1019, 1023))],
+    )
+    def test_sampled_witness_on_mce_tables(self, seed, triple):
+        # triples found by the unmemoized chain walk over the reference scan
+        inst = mce_instance(generate_sample_table(10, 300, seed))
+        assert verify_decomposable(inst, mode="sampled", chains=200, seed=seed) == Witness(*triple)
 
     def test_exhaustive_capped(self):
         inst = generate_subset_sum_instance(11, 0)
