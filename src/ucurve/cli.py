@@ -111,6 +111,8 @@ def _load_cost_input(instance_path: Path | None, samples_path: Path | None):
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     args.out.mkdir(parents=True, exist_ok=True)
     for idx in range(args.count):
         seed = derive_seed(args.seed, "instance", args.n, idx)
@@ -160,7 +162,7 @@ def cmd_bench(args) -> int:
     overrides = {}
     if args.mode:
         overrides["mode"] = args.mode
-    if args.jobs:
+    if args.jobs is not None:
         overrides["jobs"] = args.jobs
         if args.jobs > 1:
             overrides["include_times"] = False

@@ -23,7 +23,7 @@ from .oracle import exhaustive_solve, legacy_ucurve_solve
 from .report import SearchReport
 from .sffs import sffs_solve
 from .ubb import ubb_solve
-from .ucs import ucs_solve
+from .ucs import check_p_up, ucs_solve
 
 OPTIMAL = "optimal"
 SUBOPTIMAL = "suboptimal"
@@ -81,6 +81,9 @@ class ExperimentConfig:
             raise ValueError("threshold_scope must be 'mean' or 'per-instance'")
         if self.cost_kind not in (costmod.SUBSET_SUM, costmod.MCE):
             raise ValueError(f"unsupported cost kind {self.cost_kind!r}")
+        if isinstance(self.p_up, bool) or not isinstance(self.p_up, (int, float)):
+            raise ValueError(f"p_up must be a number, got {self.p_up!r}")
+        check_p_up(self.p_up)
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         if self.jobs > 1 and self.include_times:

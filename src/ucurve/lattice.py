@@ -12,6 +12,7 @@ remaining search space.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Iterator
 
 LOWER = "lower"
@@ -88,8 +89,17 @@ class RestrictionSet:
     antichain, so that parent is reached, meets r, finds the tag 2, and
     demotes r to 1 and drops it. Absorption therefore costs O(1) per
     absorbed member, and an insert costs O(n) per newly covered element.
-    Above degree 20, or with ``accelerate=False``, ``covers`` scans the
-    antichain and ``update`` filters it.
+    The walk is a function bound to the bitmap and the antichain when the
+    set is built. Above degree 20, or with ``accelerate=False``, ``covers``
+    scans the antichain and ``update`` filters it.
+
+    ``insert_seed`` is the insert for the answer of ``minimal_element``
+    (LOWER) or ``maximal_element`` (UPPER). That answer's proper subsets
+    (supersets) are all covered already, so the insert covers only the
+    answer itself: it needs no coverage query and no walk, only a look at
+    the answer's n neighbours on that side for members to absorb.
+
+    ``full`` is the mask of all n features.
 
     ``covered(x)`` is the unchecked coverage lookup for hot loops. It
     returns the tag on both paths: with the bitmap it is the bitmap's own
@@ -102,7 +112,7 @@ class RestrictionSet:
     (LOWER) or ``maximal_element`` (UPPER); see there.
     """
 
-    __slots__ = ("orientation", "n", "covered", "_members", "_full", "_cover", "_cursor")
+    __slots__ = ("orientation", "n", "covered", "_members", "full", "_cover", "_cursor", "_mark")
 
     def __init__(
         self,
@@ -117,12 +127,18 @@ class RestrictionSet:
         self.orientation = orientation
         self.n = n
         self._members: dict[int, None] = {}
-        self._full = (1 << n) - 1
+        self.full = (1 << n) - 1
         if accelerate is None:
             accelerate = n <= _ACCEL_MAX_DEGREE
         self._cover = bytearray(1 << n) if accelerate else None
         self.covered = self._cover.__getitem__ if accelerate else self._scan
-        self._cursor = 0 if orientation == LOWER else self._full
+        if accelerate:
+            # bound to the bitmap and the antichain, not to self: no cycle
+            if orientation == LOWER:
+                self._mark = partial(_mark_down, self._cover, self._members)
+            else:
+                self._mark = partial(_mark_up, self._cover, self._members, self.full)
+        self._cursor = 0 if orientation == LOWER else self.full
         for m in members:
             self.update(m)
 
@@ -150,14 +166,46 @@ class RestrictionSet:
         """Insert x unless already covered; absorb members x dominates."""
         if self.covers(x):
             return
-        members = self._members
         if self._cover is not None:
-            members[x] = None
-            if self.orientation == LOWER:
-                self._mark_down(x)
-            else:
-                self._mark_up(x)
+            self._members[x] = None
+            self._mark(x)
+        else:
+            self._absorb(x)
+
+    def insert_seed(self, x: int) -> None:
+        """Insert the cursor's answer x: the uncovered mask whose proper
+        subsets (LOWER) or supersets (UPPER) are all covered.
+
+        Such an insert newly covers x alone, and the only members it can
+        absorb are x's neighbours on that side: a member r further inside
+        would lie inside a covered neighbour of x, so inside some other
+        member. So x is tagged 2 and each tag-2 neighbour is demoted and
+        dropped; the result is what ``update(x)`` leaves. Raises
+        RuntimeError if x is covered already.
+        """
+        cover = self._cover
+        if cover is None:
+            if self._scan(x):
+                raise RuntimeError(f"seed {x:#x} is covered already")
+            self._absorb(x)
             return
+        if cover[x]:
+            raise RuntimeError(f"seed {x:#x} is covered already")
+        members = self._members
+        members[x] = None
+        cover[x] = 2
+        bits = x if self.orientation == LOWER else self.full ^ x
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            y = x ^ b
+            if cover[y] == 2:
+                cover[y] = 1
+                del members[y]
+
+    def _absorb(self, x: int) -> None:
+        """Insert uncovered x into the antichain without a bitmap."""
+        members = self._members
         if self.orientation == LOWER:
             # drop members properly contained in x
             absorbed = [r for r in members if not r & ~x]
@@ -168,50 +216,6 @@ class RestrictionSet:
             del members[r]
         members[x] = None
 
-    def _mark_down(self, x: int) -> None:
-        cover = self._cover
-        members = self._members
-        cover[x] = 2
-        # pairs of (element, the bits it may still clear)
-        stack = [x, x]
-        while stack:
-            bits = stack.pop()
-            y = stack.pop()
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                child = y ^ b
-                tag = cover[child]
-                if not tag:
-                    cover[child] = 1
-                    stack.append(child)
-                    stack.append(bits)
-                elif tag == 2:
-                    cover[child] = 1
-                    del members[child]
-
-    def _mark_up(self, x: int) -> None:
-        cover = self._cover
-        members = self._members
-        cover[x] = 2
-        # pairs of (element, the bits it may still set)
-        stack = [x, self._full & ~x]
-        while stack:
-            bits = stack.pop()
-            y = stack.pop()
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                parent = y | b
-                tag = cover[parent]
-                if not tag:
-                    cover[parent] = 1
-                    stack.append(parent)
-                    stack.append(bits)
-                elif tag == 2:
-                    cover[parent] = 1
-                    del members[parent]
-
     def __len__(self) -> int:
         return len(self._members)
 
@@ -221,6 +225,64 @@ class RestrictionSet:
     def __repr__(self) -> str:
         vecs = [render_element(m, self.n) for m in self._members]
         return f"RestrictionSet({self.orientation}, n={self.n}, members={vecs})"
+
+
+def _mark_down(cover: bytearray, members: dict[int, None], x: int) -> None:
+    """Tag x 2 and the newly covered subsets of x 1, absorbing members on the way.
+
+    The spanning-tree walk of RestrictionSet: a child reached by clearing
+    bit b may only clear bits above b further. The root is walked without
+    a push, and a child is pushed only if it has bits left to try.
+    """
+    cover[x] = 2
+    # pairs of (element, the bits it may still clear)
+    stack = []
+    y = bits = x
+    while True:
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            child = y ^ b
+            tag = cover[child]
+            if not tag:
+                cover[child] = 1
+                if bits:
+                    stack.append(child)
+                    stack.append(bits)
+            elif tag == 2:
+                cover[child] = 1
+                del members[child]
+        if not stack:
+            return
+        bits = stack.pop()
+        y = stack.pop()
+
+
+def _mark_up(cover: bytearray, members: dict[int, None], full: int, x: int) -> None:
+    """Dual of _mark_down: tag the newly covered supersets of x, setting bits."""
+    cover[x] = 2
+    # pairs of (element, the bits it may still set)
+    stack = []
+    y = x
+    bits = full ^ x
+    while True:
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            parent = y | b
+            tag = cover[parent]
+            if not tag:
+                cover[parent] = 1
+                if bits:
+                    stack.append(parent)
+                    stack.append(bits)
+            elif tag == 2:
+                cover[parent] = 1
+                del members[parent]
+        if not stack:
+            return
+        bits = stack.pop()
+        y = stack.pop()
 
 
 def minimal_element(r_lower: RestrictionSet) -> int | None:
@@ -241,26 +303,25 @@ def minimal_element(r_lower: RestrictionSet) -> int | None:
     stays covered and the first uncovered mask never lies behind it: the
     answer is the same element, and a whole run of queries costs O(2**n)
     steps in total rather than O(n) lookups per query. A step is a
-    bit-reversed increment: clear the top bits while they are set, then set
-    the first clear one.
+    bit-reversed increment, which clears the run of set bits at the top and
+    sets the highest clear bit h below it. With
+    ``h = 1 << ((full ^ x).bit_length() - 1)`` that is
+    ``x = (x & (h - 1)) | h``, with no loop over the bits.
     """
     if r_lower.orientation != LOWER:
         raise ValueError("minimal_element needs a LOWER restriction collection")
     n = r_lower.n
-    x = r_lower._full
+    x = r_lower.full
     if r_lower.covered(x):
         return None
     cover = r_lower._cover
     if cover is not None:
         # the full set is uncovered, so a covered x always has a clear bit
+        full = x
         x = r_lower._cursor
-        top = 1 << (n - 1)
         while cover[x]:
-            b = top
-            while x & b:
-                x ^= b
-                b >>= 1
-            x |= b
+            h = 1 << ((full ^ x).bit_length() - 1)
+            x = (x & (h - 1)) | h
         r_lower._cursor = x
         return x
     covered = r_lower.covered
@@ -277,7 +338,10 @@ def maximal_element(r_upper: RestrictionSet) -> int | None:
     """Dual of minimal_element over the space left by r_upper.
 
     The answer is the last uncovered mask in bit-reversed order; the cursor
-    steps backward from the full set with bit-reversed decrements.
+    steps backward from the full set with bit-reversed decrements. A
+    decrement sets the run of clear bits at the top and clears the highest
+    set bit h below it: with h = 1 << (x.bit_length() - 1), that is
+    ``x = (x & (h - 1)) | (full ^ ((h << 1) - 1))``.
     """
     if r_upper.orientation != UPPER:
         raise ValueError("maximal_element needs an UPPER restriction collection")
@@ -287,14 +351,11 @@ def maximal_element(r_upper: RestrictionSet) -> int | None:
     cover = r_upper._cover
     if cover is not None:
         # the empty set is uncovered, so a covered x always has a set bit
+        full = r_upper.full
         x = r_upper._cursor
-        top = 1 << (n - 1)
         while cover[x]:
-            b = top
-            while not x & b:
-                x |= b
-                b >>= 1
-            x ^= b
+            h = 1 << (x.bit_length() - 1)
+            x = (x & (h - 1)) | (full ^ ((h << 1) - 1))
         r_upper._cursor = x
         return x
     covered = r_upper.covered

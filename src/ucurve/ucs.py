@@ -28,8 +28,16 @@ restrictions, each covering the proper subsets (supersets) of the element
 it inserts; so tag 1 marks exactly the nodes such a call has removed, and
 tags never go back. The DFS pops dead nodes when they reach its stack top.
 
+A is minimal (maximal), so the rest of its interval is gone already and
+its removal covers A alone: RestrictionSet.insert_seed does it without a
+walk. Most iterations of a run are blocked, A already being covered on the
+opposite side, and evaluate nothing; that insert, the cursor step of
+minimal_element/maximal_element and the direction draw are the part of a
+run's cost that does not grow with the nodes it evaluates.
+
 A run never shares state. Each node reads its cost from the evaluator
-once, when it is pushed, and the pruning rules read it off the node; the
+once, when it is pushed (a DFS seed when the main loop picks it), and the
+pruning rules read it off the node; the
 evaluator's memo is the run's one record of what it computed, and the
 report is drawn from it. The optional on_event callback receives one dict
 per push / pop / restriction update, which is what the CLI --trace flag
@@ -48,7 +56,6 @@ from .lattice import (
     UPPER,
     RestrictionSet,
     check_degree,
-    full_set,
     maximal_element,
     minimal_element,
 )
@@ -63,13 +70,15 @@ EventCallback = Callable[[dict], None]
 class Node:
     """A visited element, its cost and neighbour bookkeeping masks.
 
-    dfs sets cost when it pushes the node; until then the slot is unset.
+    The cost is None until it is read: dfs sets it when it pushes the node,
+    and ucs_solve sets it on the seeds it has just evaluated.
     """
 
     __slots__ = ("element", "cost", "unverified", "lower_adjacent", "upper_adjacent")
 
     def __init__(self, element: int, unverified: int, lower_adjacent: int, upper_adjacent: int):
         self.element = element
+        self.cost = None
         self.unverified = unverified
         self.lower_adjacent = lower_adjacent
         self.upper_adjacent = upper_adjacent
@@ -81,15 +90,13 @@ class Node:
         )
 
 
-def fresh_node(element: int, n: int) -> Node:
-    """Node for a newly visited element: nothing verified, nothing known covered."""
-    full = full_set(n)
-    return Node(element, full, element, full ^ element)
+def check_p_up(p_up: float) -> None:
+    if not 0.0 <= p_up <= 1.0:
+        raise ValueError(f"p_up must be within [0, 1], got {p_up}")
 
 
 def select_direction(rng: random.Random, p_up: float = 0.5) -> str:
-    if not 0.0 <= p_up <= 1.0:
-        raise ValueError(f"p_up must be within [0, 1], got {p_up}")
+    check_p_up(p_up)
     return UP if rng.random() < p_up else DOWN
 
 
@@ -102,13 +109,15 @@ def select_unvisited_adjacent(
 ) -> Node | None:
     """Pop unverified bits of y (lowest first) until an expandable neighbour shows.
 
-    Returns a fresh node for the first neighbour that is both inside the
-    current space and unvisited, or None when y's unverified set empties.
+    Returns a fresh node (nothing verified, nothing known covered) for the
+    first neighbour that is both inside the current space and unvisited, or
+    None when y's unverified set empties.
     Along the way y's flags are maintained: a neighbour found covered by the
     matching restriction side clears its bit from y's flag (visited but
     uncovered neighbours clear nothing).
     """
     element = y.element
+    full = r_lower.full
     lower_covered = r_lower.covered
     upper_covered = r_upper.covered
     while y.unverified:
@@ -120,13 +129,13 @@ def select_unvisited_adjacent(
                 y.lower_adjacent &= ~bit
                 continue
             if x not in graph and not upper_covered(x):
-                return fresh_node(x, n)
+                return Node(x, full, x, full ^ x)
         else:
             if upper_covered(x):
                 y.upper_adjacent &= ~bit
                 continue
             if x not in graph and not lower_covered(x):
-                return fresh_node(x, n)
+                return Node(x, full, x, full ^ x)
     return None
 
 
@@ -205,8 +214,9 @@ def dfs(
 ) -> None:
     """Depth-first search from m_node, shrinking the space as it prunes.
 
-    m_node and every node pushed after it get their cost from the evaluator
-    once, on push; the evaluator's memo keeps what the search computed. On
+    Every node pushed gets its cost from the evaluator once, on push, and so
+    does m_node unless its caller has set its cost already; the evaluator's
+    memo keeps what the search computed. On
     a node-budget stop the exception propagates; on a cost-target hit the
     search returns immediately.
 
@@ -221,7 +231,9 @@ def dfs(
     """
     lower_covered = r_lower.covered
     upper_covered = r_upper.covered
-    m_node.cost = evaluator.evaluate(m_node.element)
+    full = r_lower.full
+    if m_node.cost is None:
+        m_node.cost = evaluator.evaluate(m_node.element)
     if evaluator.target_reached:
         return
     graph: dict[int, Node] = {m_node.element: m_node}
@@ -253,12 +265,24 @@ def dfs(
         if not y.lower_adjacent and not lower_covered(ye):
             # flag soundness: an empty flag must mean every neighbour on that
             # side is really covered, or the interval removal would be unsound
-            if not all(lower_covered(ye ^ (1 << b)) for b in range(n) if ye >> b & 1):
-                raise RuntimeError(f"unsound lower flag: a lower neighbour of {ye:#x} is uncovered")
+            bits = ye
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                if not lower_covered(ye ^ b):
+                    raise RuntimeError(
+                        f"unsound lower flag: a lower neighbour of {ye:#x} is uncovered"
+                    )
             lower_pruning(y, r_lower, on_event)
         if not y.upper_adjacent and not upper_covered(ye):
-            if not all(upper_covered(ye | (1 << b)) for b in range(n) if not ye >> b & 1):
-                raise RuntimeError(f"unsound upper flag: an upper neighbour of {ye:#x} is uncovered")
+            bits = full ^ ye
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                if not upper_covered(ye | b):
+                    raise RuntimeError(
+                        f"unsound upper flag: an upper neighbour of {ye:#x} is uncovered"
+                    )
             upper_pruning(y, r_upper, on_event)
         if not y.lower_adjacent and not y.upper_adjacent:
             del graph[ye]
@@ -292,39 +316,48 @@ def ucs_solve(
     """Solve the lattice minimization problem; optimal on chain-U-shaped costs.
 
     Terminates on arbitrary costs: each iteration removes at least its seed
-    element from the remaining space whether or not a DFS runs.
+    element from the remaining space whether or not a DFS runs. p_up is
+    checked before anything is evaluated.
     """
     check_degree(n)
+    check_p_up(p_up)
     ev = evaluator or CostEvaluator(cost, n=n, node_budget=node_budget, cost_target=cost_target)
-    rng = random.Random(seed)
-    full = full_set(n)
+    draw = random.Random(seed).random
+    full = (1 << n) - 1
     r_lower = RestrictionSet(LOWER, n)
     r_upper = RestrictionSet(UPPER, n)
+    lower_covered = r_lower.covered
+    upper_covered = r_upper.covered
     dfs_calls = 0
     minmax_calls = 0
     budget_exhausted = False
     started = time.perf_counter()
     try:
         while True:
-            going_up = select_direction(rng, p_up) == UP
+            # the draw select_direction makes, with p_up checked once above
+            going_up = draw() < p_up
             minmax_calls += 1
             if going_up:
                 a = minimal_element(r_lower)
+                if a is None:
+                    break
+                blocked = upper_covered(a)
             else:
                 a = maximal_element(r_upper)
-            if a is None:
-                break
-            blocked = r_lower.covered(a) if not going_up else r_upper.covered(a)
+                if a is None:
+                    break
+                blocked = lower_covered(a)
             if not blocked:
                 cost_a = ev.evaluate(a)
                 if on_event:
                     on_event({"event": "push", "element": a, "cost": cost_a})
+            # a is the cursor's answer, so inserting it covers a alone
             if going_up:
-                r_lower.update(a)
+                r_lower.insert_seed(a)
                 if on_event:
                     on_event({"event": "restrict", "side": "lower", "element": a})
             else:
-                r_upper.update(a)
+                r_upper.insert_seed(a)
                 if on_event:
                     on_event({"event": "restrict", "side": "upper", "element": a})
             if blocked:
@@ -335,6 +368,7 @@ def ucs_solve(
                 seed_node = Node(a, full ^ a, 0, full ^ a)
             else:
                 seed_node = Node(a, a, a, 0)
+            seed_node.cost = cost_a
             dfs_calls += 1
             dfs(seed_node, n, r_lower, r_upper, ev, on_event)
             if ev.target_reached:

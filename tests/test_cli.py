@@ -136,3 +136,24 @@ def test_solve_rejects_non_finite_costs(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+
+def test_generate_rejects_a_count_below_one(tmp_path, capsys):
+    for count in ("-3", "0"):
+        assert run(["generate", "--n", "5", "--count", count, "--out", tmp_path / "out"]) == 3
+    assert not (tmp_path / "out").exists()
+    assert "--count" in capsys.readouterr().err
+
+
+def test_bench_rejects_bad_jobs_and_p_up(tmp_path, capsys):
+    cfg = tmp_path / "bench.json"
+    config = {"sizes": [4], "instances_per_size": 2, "algorithms": ["ubb", "ucs"], "include_times": False}
+    cfg.write_text(json.dumps(config))
+    outdir = tmp_path / "results"
+    for jobs in ("0", "-1"):
+        assert run(["bench", "--config", cfg, "--jobs", jobs, "--out", outdir]) == 3
+    cfg.write_text(json.dumps(dict(config, p_up=1.5)))
+    assert run(["bench", "--config", cfg, "--out", outdir]) == 3
+    assert "p_up" in capsys.readouterr().err
+    # rejected before anything is written
+    assert not outdir.exists()

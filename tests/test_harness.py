@@ -42,6 +42,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(sizes=[5], threshold_scope="sometimes")
 
+    @pytest.mark.parametrize("p_up", [-0.1, 1.5, float("nan"), "0.5", True])
+    def test_p_up_rejected_when_built(self, p_up):
+        with pytest.raises(ValueError, match="p_up"):
+            ExperimentConfig(sizes=[5], p_up=p_up)
+
+    @pytest.mark.parametrize("p_up", [0, 0.0, 0.25, 1])
+    def test_p_up_bounds_accepted(self, p_up):
+        assert ExperimentConfig(sizes=[5], p_up=p_up).p_up == p_up
+
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"sizes": [5], "bogus": 1}))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -251,6 +256,70 @@ class TestBitmapAntichain:
                 r.update(x)
 
 
+class TestInsertSeed:
+    """insert_seed on the cursor's answer must leave what update leaves."""
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([LOWER, UPPER]),
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["update", "seed", "query"]),
+                st.integers(min_value=0, max_value=255),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=300)
+    def test_same_state_as_update(self, n, orientation, accelerate, ops):
+        full = full_set(n)
+        extreme = minimal_element if orientation == LOWER else maximal_element
+        seeded = RestrictionSet(orientation, n, accelerate=accelerate)
+        plain = RestrictionSet(orientation, n, accelerate=accelerate)
+        for op, x in ops:
+            if op == "update":
+                seeded.update(x & full)
+                plain.update(x & full)
+            else:
+                a = extreme(seeded)
+                assert a == extreme(plain)
+                if op == "seed" and a is not None:
+                    seeded.insert_seed(a)
+                    plain.update(a)
+            assert seeded.members == plain.members
+            assert seeded._cover == plain._cover
+            assert seeded._cursor == plain._cursor
+
+    @pytest.mark.parametrize("accelerate", [True, False])
+    def test_covered_seed_raises(self, accelerate):
+        r = lower_set(3, [0b011], accelerate=accelerate)
+        u = upper_set(3, [0b100], accelerate=accelerate)
+        for rs, x in ((r, 0b001), (r, 0b011), (u, 0b110), (u, 0b100)):
+            before = (rs.members, bytes(rs._cover or b""))
+            with pytest.raises(RuntimeError, match="covered already"):
+                rs.insert_seed(x)
+            assert (rs.members, bytes(rs._cover or b"")) == before
+
+    def test_check_survives_optimized_mode(self):
+        script = (
+            "from ucurve.lattice import LOWER, RestrictionSet\n"
+            "assert False, 'assertions are on'\n"
+            "try:\n"
+            "    RestrictionSet(LOWER, 3, [0b011]).insert_seed(0b001)\n"
+            "except RuntimeError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: seed 0x1 is covered already")
+
+
 class TestMinMaxElements:
     def test_minimal_examples(self):
         assert minimal_element(lower_set(2, [])) == 0
@@ -337,6 +406,24 @@ class TestMinMaxElements:
                 assert got == reference
                 expected = pick(uncovered, key=lambda m: bit_reversed(m, n)) if uncovered else None
                 assert got == expected
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_cursor_steps_to_the_bit_reversed_neighbour(self, n):
+        # one covered mask under the cursor: a single step must land on the
+        # next mask in bit-reversed order (the previous one going down)
+        full = full_set(n)
+        order = sorted(range(full + 1), key=lambda m: bit_reversed(m, n))
+        r_lower = lower_set(n, [])
+        r_upper = upper_set(n, [])
+        for m, successor in zip(order, order[1:]):
+            r_lower._cover[m] = 1
+            r_lower._cursor = m
+            assert minimal_element(r_lower) == successor
+            r_lower._cover[m] = 0
+            r_upper._cover[successor] = 1
+            r_upper._cursor = successor
+            assert maximal_element(r_upper) == m
+            r_upper._cover[successor] = 0
 
 
 class TestSpaceAndAdjacency:

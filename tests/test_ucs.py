@@ -35,7 +35,6 @@ from ucurve.ucs import (
     UP,
     Node,
     dfs,
-    fresh_node,
     lower_pruning,
     node_pruning,
     select_direction,
@@ -45,7 +44,9 @@ from ucurve.ucs import (
 
 
 def make_node(element, n):
-    return fresh_node(element, n)
+    # a newly visited element: nothing verified, nothing known covered
+    full = full_set(n)
+    return Node(element, full, element, full ^ element)
 
 
 class TestSelectUnvisitedAdjacent:
@@ -291,6 +292,14 @@ class TestSelectDirection:
     def test_p_up_validated(self):
         with pytest.raises(ValueError):
             select_direction(random.Random(0), 1.5)
+
+    @pytest.mark.parametrize("p_up", [1.5, -0.5, float("nan")])
+    def test_solver_rejects_p_up_before_evaluating(self, p_up):
+        inst = generate_subset_sum_instance(5, 3)
+        ev = CostEvaluator(inst, n=5)
+        with pytest.raises(ValueError, match="p_up"):
+            ucs_solve(5, inst, p_up=p_up, evaluator=ev)
+        assert ev.memo == {}
 
 
 class TestUcsSolve:

@@ -96,8 +96,8 @@ class TestGoldenTrajectories:
             assert trajectory(case) == expected, case
 
     def test_each_cost_is_read_once(self, monkeypatch):
-        # an unbudgeted run asks the evaluator once per push event and once
-        # per DFS seed, and for nothing it already holds
+        # an unbudgeted run asks the evaluator once per push event, a DFS
+        # seed included, and for nothing it already holds
         calls = 0
         evaluate = CostEvaluator.evaluate
 
@@ -113,4 +113,4 @@ class TestGoldenTrajectories:
             calls = 0
             report, events = run(case)
             pushes = sum(1 for e in events if e["event"] == "push")
-            assert calls == pushes + report.dfs_calls, case
+            assert calls == pushes, case
