@@ -47,7 +47,7 @@ from .oracle import exhaustive_solve, find_counterexample, legacy_ucurve_solve
 from .report import SearchReport
 from .sffs import sbs_step, sffs_solve, sfs_step
 from .ubb import ubb_solve
-from .ucs import Node, dfs, node_pruning, select_direction, select_unvisited_adjacent, ucs_solve
+from .ucs import Node, dfs, node_pruning, select_unvisited_adjacent, ucs_solve
 
 __all__ = [
     "BudgetExhausted",
@@ -86,7 +86,6 @@ __all__ = [
     "save_instance",
     "save_samples",
     "sbs_step",
-    "select_direction",
     "select_unvisited_adjacent",
     "sffs_solve",
     "sfs_step",

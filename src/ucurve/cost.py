@@ -265,11 +265,14 @@ class BudgetExhausted(Exception):
 class CostEvaluator:
     """Memoizing cost oracle with instrumentation and stop criteria.
 
-    computed_nodes equals the number of distinct elements evaluated; repeat
-    lookups hit the memo and do not count. With a node budget, the call that
-    would exceed the budget is never performed: BudgetExhausted is raised
-    instead. With a cost target, target_reached latches as soon as a freshly
-    computed value is <= the target; solvers poll the flag.
+    The memo maps each element evaluated to its cost; it is the run's one
+    record of what it computed, and the run's report (best cost, minima)
+    is drawn from it. computed_nodes equals the number of distinct
+    elements evaluated; repeat lookups hit the memo and do not count. With
+    a node budget, the call that would exceed the budget is never
+    performed: BudgetExhausted is raised instead. With a cost target,
+    target_reached latches as soon as a freshly computed value is <= the
+    target; solvers poll the flag.
 
     A bare callable is wrapped by checked_cost, so a non-finite or
     non-numeric cost raises ValueError. Instance cost functions are finite
@@ -285,8 +288,6 @@ class CostEvaluator:
         "cost_target",
         "target_reached",
         "elapsed_in_cost",
-        "best_element",
-        "best_cost",
     )
 
     def __init__(
@@ -312,8 +313,6 @@ class CostEvaluator:
         self.cost_target = cost_target
         self.target_reached = False
         self.elapsed_in_cost = 0.0
-        self.best_element: int | None = None
-        self.best_cost: float | None = None
 
     @property
     def computed_nodes(self) -> int:
@@ -332,9 +331,6 @@ class CostEvaluator:
         value = self.fn(x)
         self.elapsed_in_cost += time.perf_counter() - start
         memo[x] = value
-        if self.best_cost is None or value < self.best_cost:
-            self.best_element = x
-            self.best_cost = value
         if self.cost_target is not None and value <= self.cost_target:
             self.target_reached = True
         return value

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 from . import cost as costmod
 from .cost import Instance, load_instance, load_samples, mce_instance, save_instance, save_samples
-from .oracle import exhaustive_solve, legacy_ucurve_solve
+from .lattice import MAX_DEGREE
+from .oracle import EXHAUSTIVE_MAX_DEGREE, exhaustive_solve, legacy_ucurve_solve
 from .report import SearchReport
 from .sffs import sffs_solve
 from .ubb import ubb_solve
@@ -68,13 +69,16 @@ class ExperimentConfig:
     include_times: bool = True
 
     def __post_init__(self) -> None:
-        if not self.sizes:
-            raise ValueError("config needs at least one size")
-        if self.instances_per_size < 1:
-            raise ValueError("instances_per_size must be at least 1")
-        for alg in self.algorithms:
-            if alg not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {alg!r}")
+        # every field's type and range, so that a bad config fails before anything is written
+        _check_list("sizes", self.sizes, lambda size: _check_int("each of sizes", size, 1, MAX_DEGREE))
+        _check_list("algorithms", self.algorithms, _check_algorithm)
+        if "exhaustive" in self.algorithms and max(self.sizes) > EXHAUSTIVE_MAX_DEGREE:
+            raise ValueError(f"sizes must stay within {EXHAUSTIVE_MAX_DEGREE} for exhaustive")
+        _check_int("instances_per_size", self.instances_per_size, 1)
+        _check_int("seed", self.seed)
+        _check_int("weight_max", self.weight_max, 1)
+        _check_int("sample_rows", self.sample_rows, 1)
+        _check_int("jobs", self.jobs, 1)
         if self.mode not in (OPTIMAL, SUBOPTIMAL, DYNAMICS):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.threshold_scope not in ("mean", "per-instance"):
@@ -84,8 +88,8 @@ class ExperimentConfig:
         if isinstance(self.p_up, bool) or not isinstance(self.p_up, (int, float)):
             raise ValueError(f"p_up must be a number, got {self.p_up!r}")
         check_p_up(self.p_up)
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        if type(self.include_times) is not bool:
+            raise ValueError(f"include_times must be true or false, got {self.include_times!r}")
         if self.jobs > 1 and self.include_times:
             raise ValueError("time columns are only valid at jobs=1; set include_times=False")
 
@@ -99,6 +103,32 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         return cls(**payload)
+
+
+def _check_int(name: str, value, low: int | None = None, high: int | None = None) -> None:
+    """Reject a value that is not an int (a bool included) or lies outside low..high."""
+    if type(value) is int and (low is None or value >= low) and (high is None or value <= high):
+        return
+    if high is not None:
+        raise ValueError(f"{name} must be an int in {low}..{high}, got {value!r}")
+    if low is not None:
+        raise ValueError(f"{name} must be an int of at least {low}, got {value!r}")
+    raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_list(name: str, values, check: Callable) -> None:
+    """Reject anything but a non-empty list of distinct items that each pass check."""
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"{name} must be a non-empty list, got {values!r}")
+    for value in values:
+        check(value)
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} must not repeat, got {values!r}")
+
+
+def _check_algorithm(name) -> None:
+    if not isinstance(name, str) or name not in SOLVERS:
+        raise ValueError(f"unknown algorithm {name!r} in algorithms")
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +192,13 @@ def run_solver(
     cost_target: float | None = None,
     on_event: Callable[[dict], None] | None = None,
 ) -> SearchReport:
+    """Run one registered solver; p_up is checked here for every algorithm, used or not."""
     if on_event is not None and algorithm != "ucs":
         raise ValueError("event tracing is only supported by the ucs solver")
     solver = SOLVERS.get(algorithm)
     if solver is None:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    check_p_up(p_up)
     return solver(
         instance, seed, p_up, on_event=on_event, node_budget=node_budget, cost_target=cost_target
     )

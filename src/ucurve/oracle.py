@@ -11,25 +11,12 @@ hard-coding any particular figure.
 from __future__ import annotations
 
 import random
-import time
 from typing import Callable
 
-from .cost import (
-    BudgetExhausted,
-    CostEvaluator,
-    Instance,
-    generate_decomposable_explicit,
-)
-from .lattice import (
-    LOWER,
-    UPPER,
-    RestrictionSet,
-    check_degree,
-    maximal_element,
-    minimal_element,
-)
-from .report import SearchReport, conclude
-from .ucs import UP, select_direction
+from .cost import CostEvaluator, Instance, generate_decomposable_explicit
+from .lattice import LOWER, UPPER, RestrictionSet, maximal_element, minimal_element
+from .report import SearchReport, SolverRun
+from .ucs import check_p_up
 
 EXHAUSTIVE_MAX_DEGREE = 24
 
@@ -42,20 +29,15 @@ def exhaustive_solve(
     evaluator: CostEvaluator | None = None,
 ) -> SearchReport:
     """Evaluate all 2**n subsets and return every minimum."""
-    check_degree(n)
+    run = SolverRun("exhaustive", n, cost, node_budget, cost_target, evaluator)
     if n > EXHAUSTIVE_MAX_DEGREE:
         raise ValueError(f"exhaustive search is capped at degree {EXHAUSTIVE_MAX_DEGREE}")
-    ev = evaluator or CostEvaluator(cost, n=n, node_budget=node_budget, cost_target=cost_target)
-    budget_exhausted = False
-    started = time.perf_counter()
-    try:
+    with run as ev:
         for m in range(1 << n):
             ev.evaluate(m)
             if ev.target_reached:
                 break
-    except BudgetExhausted:
-        budget_exhausted = True
-    return conclude("exhaustive", n, ev, ev.memo, started, budget_exhausted=budget_exhausted)
+    return run.report()
 
 
 def legacy_ucurve_solve(
@@ -77,18 +59,17 @@ def legacy_ucurve_solve(
     of the stack top with cost <= the top's. A top with nothing to push is
     popped and added to BOTH restriction collections, the documented
     error: the popped element's lower and upper intervals vanish even
-    where they were never visited.
+    where they were never visited. Directions are drawn as in ucs_solve:
+    up when random() < p_up, p_up checked before anything is evaluated.
     """
-    check_degree(n)
-    ev = evaluator or CostEvaluator(cost, n=n, node_budget=node_budget, cost_target=cost_target)
-    rng = random.Random(seed)
+    check_p_up(p_up)
+    run = SolverRun("ucurve-legacy", n, cost, node_budget, cost_target, evaluator)
+    draw = random.Random(seed).random
     r_lower = RestrictionSet(LOWER, n)
     r_upper = RestrictionSet(UPPER, n)
-    budget_exhausted = False
-    started = time.perf_counter()
-    try:
+    with run as ev:
         while True:
-            going_up = select_direction(rng, p_up) == UP
+            going_up = draw() < p_up
             if going_up:
                 a = minimal_element(r_lower)
                 if a is None:
@@ -109,9 +90,7 @@ def legacy_ucurve_solve(
             _minimum_exhausting(m, n, ev, r_lower, r_upper)
             if ev.target_reached:
                 break
-    except BudgetExhausted:
-        budget_exhausted = True
-    return conclude("ucurve-legacy", n, ev, ev.memo, started, budget_exhausted=budget_exhausted)
+    return run.report()
 
 
 def _chain_minimum(

@@ -1,12 +1,18 @@
-"""Solver run reports shared by every algorithm."""
+"""The run contract and the report shared by every solver.
+
+Each solver opens a SolverRun, searches with the evaluator it yields and
+returns its report(): the degree check, the evaluator, the clock, the
+node-budget stop and the report live here, once for all of them.
+"""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
-from .cost import CostEvaluator
-from .lattice import render_element
+from .cost import BudgetExhausted, CostEvaluator, Instance
+from .lattice import check_degree, render_element
 
 
 @dataclass
@@ -55,22 +61,67 @@ class SearchReport:
         }
 
 
+class SolverRun:
+    """The contract of one solver run: degree check, evaluator, clock and budget stop.
+
+    Built before the search, it rejects an Instance or an evaluator whose
+    degree is not n with ValueError, before anything is evaluated, and
+    builds the CostEvaluator unless one is given. Entering it starts the
+    clock and yields the evaluator; a BudgetExhausted raised in the block
+    ends the block and marks the run budget_exhausted.
+    """
+
+    def __init__(
+        self,
+        algorithm: str,
+        n: int,
+        cost: Instance | Callable[[int], float],
+        node_budget: int | None = None,
+        cost_target: float | None = None,
+        evaluator: CostEvaluator | None = None,
+    ) -> None:
+        check_degree(n)
+        if isinstance(cost, Instance) and cost.n != n:
+            raise ValueError(f"degree {n} does not match the instance's degree {cost.n}")
+        ev = evaluator or CostEvaluator(cost, n=n, node_budget=node_budget, cost_target=cost_target)
+        if ev.n != n:
+            raise ValueError(f"degree {n} does not match the evaluator's degree {ev.n}")
+        self.algorithm = algorithm
+        self.evaluator = ev
+
+    def __enter__(self) -> CostEvaluator:
+        self.started = time.perf_counter()
+        return self.evaluator
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.budget_exhausted = exc_type is not None and issubclass(exc_type, BudgetExhausted)
+        return self.budget_exhausted
+
+    def report(self, dfs_calls: int = 0, minmax_calls: int = 0) -> SearchReport:
+        ev, exhausted = self.evaluator, self.budget_exhausted
+        return conclude(self.algorithm, ev, self.started, dfs_calls, minmax_calls, exhausted)
+
+
 def conclude(
     algorithm: str,
-    n: int,
     evaluator: CostEvaluator,
-    minima_costs: dict[int, float],
     started: float,
     dfs_calls: int = 0,
     minmax_calls: int = 0,
     budget_exhausted: bool = False,
 ) -> SearchReport:
-    """Build the report from a finished (or gracefully stopped) run."""
+    """Build the report of a finished or budget-stopped run from its evaluator's memo.
+
+    The best cost is the least in the memo and the minima are its elements
+    of that cost, so a budget stop reports the best found so far.
+    """
     wall = time.perf_counter() - started
-    if minima_costs:
-        best = min(minima_costs.values())
+    n = evaluator.n
+    memo = evaluator.memo
+    if memo:
+        best = min(memo.values())
         minima = sorted(
-            (e for e, c in minima_costs.items() if c == best),
+            (e for e, c in memo.items() if c == best),
             key=lambda e: render_element(e, n),
         )
     else:

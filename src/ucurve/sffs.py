@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import time
 from typing import Callable
 
-from .cost import BudgetExhausted, CostEvaluator, Instance
-from .lattice import check_degree, full_set
-from .report import SearchReport, conclude
+from .cost import CostEvaluator, Instance
+from .lattice import full_set
+from .report import SearchReport, SolverRun
 
 
 def sfs_step(current: int, n: int, evaluator: CostEvaluator) -> int:
@@ -58,12 +57,9 @@ def sffs_solve(
     ends when the forward frontier reaches the full set; the result is the
     global best over all cardinalities. Suboptimal by design.
     """
-    check_degree(n)
-    ev = evaluator or CostEvaluator(cost, n=n, node_budget=node_budget, cost_target=cost_target)
-    budget_exhausted = False
-    started = time.perf_counter()
+    run = SolverRun("sffs", n, cost, node_budget, cost_target, evaluator)
     full = full_set(n)
-    try:
+    with run as ev:
         current = 0
         best_at = {0: ev.evaluate(0)}
         while current != full and not ev.target_reached:
@@ -85,6 +81,4 @@ def sffs_solve(
                     best_at[k] = c_candidate
                 else:
                     break
-    except BudgetExhausted:
-        budget_exhausted = True
-    return conclude("sffs", n, ev, ev.memo, started, budget_exhausted=budget_exhausted)
+    return run.report()

@@ -11,12 +11,10 @@ Equal cost descends, since a plateau may still dip later along the chain.
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
-from .cost import BudgetExhausted, CostEvaluator, Instance
-from .lattice import check_degree
-from .report import SearchReport, conclude
+from .cost import CostEvaluator, Instance
+from .report import SearchReport, SolverRun
 
 
 def ubb_solve(
@@ -26,17 +24,12 @@ def ubb_solve(
     cost_target: float | None = None,
     evaluator: CostEvaluator | None = None,
 ) -> SearchReport:
-    check_degree(n)
-    ev = evaluator or CostEvaluator(cost, n=n, node_budget=node_budget, cost_target=cost_target)
-    budget_exhausted = False
-    started = time.perf_counter()
-    try:
+    run = SolverRun("ubb", n, cost, node_budget, cost_target, evaluator)
+    with run as ev:
         root_cost = ev.evaluate(0)
         if not ev.target_reached:
             _descend(0, root_cost, 0, n, ev)
-    except BudgetExhausted:
-        budget_exhausted = True
-    return conclude("ubb", n, ev, ev.memo, started, budget_exhausted=budget_exhausted)
+    return run.report()
 
 
 def _descend(element: int, element_cost: float, first_bit: int, n: int, ev: CostEvaluator) -> None:

@@ -37,32 +37,23 @@ run's cost that does not grow with the nodes it evaluates.
 
 A run never shares state. Each node reads its cost from the evaluator
 once, when it is pushed (a DFS seed when the main loop picks it), and the
-pruning rules read it off the node; the
-evaluator's memo is the run's one record of what it computed, and the
-report is drawn from it. The optional on_event callback receives one dict
-per push / pop / restriction update, which is what the CLI --trace flag
-and the instrumented no-minimum-loss tests consume.
+pruning rules read it off the node; the evaluator's memo is the run's one
+record of what it computed, and the report is drawn from it. ucs_solve,
+like every solver, runs inside report.SolverRun, which checks the degree,
+builds the evaluator, keeps the clock and turns a node-budget stop into
+budget_exhausted. The optional on_event callback receives one dict per
+push / pop / restriction update, which is what the CLI --trace flag and
+the instrumented no-minimum-loss tests consume.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from typing import Callable
 
-from .cost import BudgetExhausted, CostEvaluator, Instance
-from .lattice import (
-    LOWER,
-    UPPER,
-    RestrictionSet,
-    check_degree,
-    maximal_element,
-    minimal_element,
-)
-from .report import SearchReport, conclude
-
-UP = "up"
-DOWN = "down"
+from .cost import CostEvaluator, Instance
+from .lattice import LOWER, UPPER, RestrictionSet, maximal_element, minimal_element
+from .report import SearchReport, SolverRun
 
 EventCallback = Callable[[dict], None]
 
@@ -95,15 +86,9 @@ def check_p_up(p_up: float) -> None:
         raise ValueError(f"p_up must be within [0, 1], got {p_up}")
 
 
-def select_direction(rng: random.Random, p_up: float = 0.5) -> str:
-    check_p_up(p_up)
-    return UP if rng.random() < p_up else DOWN
-
-
 def select_unvisited_adjacent(
     y: Node,
     graph: dict[int, Node],
-    n: int,
     r_lower: RestrictionSet,
     r_upper: RestrictionSet,
 ) -> Node | None:
@@ -206,7 +191,6 @@ def node_pruning(
 
 def dfs(
     m_node: Node,
-    n: int,
     r_lower: RestrictionSet,
     r_upper: RestrictionSet,
     evaluator: CostEvaluator,
@@ -246,7 +230,7 @@ def dfs(
             continue
         cy = y.cost
         while True:
-            x = select_unvisited_adjacent(y, graph, n, r_lower, r_upper)
+            x = select_unvisited_adjacent(y, graph, r_lower, r_upper)
             if x is None:
                 stack.remove(y)
                 if on_event:
@@ -319,9 +303,8 @@ def ucs_solve(
     element from the remaining space whether or not a DFS runs. p_up is
     checked before anything is evaluated.
     """
-    check_degree(n)
     check_p_up(p_up)
-    ev = evaluator or CostEvaluator(cost, n=n, node_budget=node_budget, cost_target=cost_target)
+    run = SolverRun("ucs", n, cost, node_budget, cost_target, evaluator)
     draw = random.Random(seed).random
     full = (1 << n) - 1
     r_lower = RestrictionSet(LOWER, n)
@@ -330,11 +313,8 @@ def ucs_solve(
     upper_covered = r_upper.covered
     dfs_calls = 0
     minmax_calls = 0
-    budget_exhausted = False
-    started = time.perf_counter()
-    try:
+    with run as ev:
         while True:
-            # the draw select_direction makes, with p_up checked once above
             going_up = draw() < p_up
             minmax_calls += 1
             if going_up:
@@ -370,18 +350,7 @@ def ucs_solve(
                 seed_node = Node(a, a, a, 0)
             seed_node.cost = cost_a
             dfs_calls += 1
-            dfs(seed_node, n, r_lower, r_upper, ev, on_event)
+            dfs(seed_node, r_lower, r_upper, ev, on_event)
             if ev.target_reached:
                 break
-    except BudgetExhausted:
-        budget_exhausted = True
-    return conclude(
-        "ucs",
-        n,
-        ev,
-        ev.memo,
-        started,
-        dfs_calls=dfs_calls,
-        minmax_calls=minmax_calls,
-        budget_exhausted=budget_exhausted,
-    )
+    return run.report(dfs_calls=dfs_calls, minmax_calls=minmax_calls)

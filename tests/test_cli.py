@@ -157,3 +157,31 @@ def test_bench_rejects_bad_jobs_and_p_up(tmp_path, capsys):
     assert "p_up" in capsys.readouterr().err
     # rejected before anything is written
     assert not outdir.exists()
+
+
+def test_bench_rejects_each_bad_field_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "bench.json"
+    config = {"sizes": [4], "instances_per_size": 2, "algorithms": ["ubb"], "include_times": False}
+    outdir = tmp_path / "results"
+    for field, value in [
+        ("jobs", "2"),
+        ("instances_per_size", True),
+        ("sizes", [99]),
+        ("sizes", [4.5]),
+        ("weight_max", -5),
+        ("sample_rows", 0),
+    ]:
+        cfg.write_text(json.dumps(dict(config, **{field: value})))
+        assert run(["bench", "--config", cfg, "--out", outdir]) == 3, field
+        assert field in capsys.readouterr().err
+        assert not outdir.exists(), field
+
+
+def test_solve_rejects_p_up_for_every_algorithm(tmp_path, capsys):
+    run(["generate", "--n", "5", "--count", "1", "--seed", "6", "--out", tmp_path])
+    instance = capsys.readouterr().out.strip()
+    for algorithm in ("ubb", "sffs", "exhaustive"):
+        assert run(["solve", "--algorithm", algorithm, "--instance", instance, "--p-up", "7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p_up" in captured.err

@@ -94,13 +94,6 @@ class TestEvaluator:
         ev.evaluate(2)
         assert ev.target_reached
 
-    def test_best_seen_tracking(self):
-        ev = CostEvaluator(lambda x: float(x % 3), n=3)
-        for x in range(6):
-            ev.evaluate(x)
-        assert ev.best_cost == 0.0
-        assert ev.best_element == 0
-
     def test_counter_matches_independent_trace(self):
         trace = []
 

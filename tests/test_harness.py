@@ -51,6 +51,35 @@ class TestConfig:
     def test_p_up_bounds_accepted(self, p_up):
         assert ExperimentConfig(sizes=[5], p_up=p_up).p_up == p_up
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sizes", [99]),
+            ("sizes", [4.5]),
+            ("sizes", [True]),
+            ("sizes", [5, 5]),
+            ("sizes", 5),
+            ("sizes", [30]),  # past the exhaustive cap, with exhaustive listed
+            ("instances_per_size", True),
+            ("instances_per_size", 0),
+            ("seed", "1"),
+            ("algorithms", "ucs"),
+            ("algorithms", []),
+            ("algorithms", ["ucs", "ucs"]),
+            ("algorithms", [["ucs"]]),
+            ("weight_max", -5),
+            ("weight_max", 2.0),
+            ("sample_rows", 0),
+            ("jobs", "2"),
+            ("jobs", 1.0),
+            ("include_times", 1),
+        ],
+    )
+    def test_every_field_checked_when_built(self, field, value):
+        base = {"sizes": [5], "algorithms": ["ucs", "exhaustive"]}
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**dict(base, **{field: value}))
+
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"sizes": [5], "bogus": 1}))
@@ -263,3 +292,10 @@ class TestCounterCrossCheck:
             ev = CostEvaluator(counted, n=7)
             report = runner(ev)
             assert report.computed_nodes == len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("algorithm", ["ubb", "sffs", "exhaustive"])
+@pytest.mark.parametrize("p_up", [7.0, -0.5, float("nan")])
+def test_run_solver_checks_p_up_for_every_algorithm(algorithm, p_up):
+    with pytest.raises(ValueError, match="p_up"):
+        run_solver(algorithm, generate_subset_sum_instance(5, 3), p_up=p_up)

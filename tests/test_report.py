@@ -1,0 +1,40 @@
+import pytest
+
+import ucurve.cost
+from ucurve.cost import CostEvaluator, generate_subset_sum_instance
+from ucurve.oracle import exhaustive_solve, legacy_ucurve_solve
+from ucurve.sffs import sffs_solve
+from ucurve.ubb import ubb_solve
+from ucurve.ucs import ucs_solve
+
+SOLVERS = [ucs_solve, ubb_solve, sffs_solve, exhaustive_solve, legacy_ucurve_solve]
+
+
+@pytest.mark.parametrize("solve", SOLVERS, ids=lambda solve: solve.__name__)
+@pytest.mark.parametrize(
+    "n, evaluator_degree",
+    [
+        pytest.param(5, None, id="instance"),
+        pytest.param(5, 5, id="instance-with-evaluator"),
+        pytest.param(7, 5, id="evaluator"),
+    ],
+)
+def test_solver_rejects_a_degree_that_is_not_the_costs(monkeypatch, solve, n, evaluator_degree):
+    # the cost has degree 7; a degree of 5 once searched the wrong lattice
+    # and reported a cost far from the optimum, now nothing is evaluated
+    evaluated = []
+    evaluate = CostEvaluator.evaluate
+
+    def spy(self, x):
+        evaluated.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(ucurve.cost.CostEvaluator, "evaluate", spy)
+    ev = None
+    if evaluator_degree is not None:
+        ev = CostEvaluator(generate_subset_sum_instance(evaluator_degree, 3))
+    with pytest.raises(ValueError, match="does not match"):
+        solve(n, generate_subset_sum_instance(7, 3), evaluator=ev)
+    assert evaluated == []
+    if ev is not None:
+        assert ev.memo == {}

@@ -28,16 +28,13 @@ from ucurve.lattice import (
     minimal_element,
     parse_element,
 )
-from ucurve.oracle import exhaustive_solve
+from ucurve.oracle import exhaustive_solve, legacy_ucurve_solve
 from ucurve.ubb import ubb_solve
 from ucurve.ucs import (
-    DOWN,
-    UP,
     Node,
     dfs,
     lower_pruning,
     node_pruning,
-    select_direction,
     select_unvisited_adjacent,
     ucs_solve,
 )
@@ -54,7 +51,7 @@ class TestSelectUnvisitedAdjacent:
         n = 2
         y = make_node(parse_element("10"), n)
         graph = {y.element: y}
-        x = select_unvisited_adjacent(y, graph, n, RestrictionSet(LOWER, n), RestrictionSet(UPPER, n))
+        x = select_unvisited_adjacent(y, graph, RestrictionSet(LOWER, n), RestrictionSet(UPPER, n))
         assert x is not None
         assert x.element == parse_element("00")
         assert x.unverified == full_set(n)
@@ -67,7 +64,7 @@ class TestSelectUnvisitedAdjacent:
         n = 2
         y = make_node(parse_element("10"), n)
         y.unverified = 0
-        got = select_unvisited_adjacent(y, {y.element: y}, n, RestrictionSet(LOWER, n), RestrictionSet(UPPER, n))
+        got = select_unvisited_adjacent(y, {y.element: y}, RestrictionSet(LOWER, n), RestrictionSet(UPPER, n))
         assert got is None
 
     def test_flags_cleared_only_by_covered_neighbours(self):
@@ -76,7 +73,7 @@ class TestSelectUnvisitedAdjacent:
         visited = make_node(parse_element("00"), n)
         graph = {y.element: y, visited.element: visited}
         r_upper = RestrictionSet(UPPER, n, [parse_element("11")])
-        got = select_unvisited_adjacent(y, graph, n, RestrictionSet(LOWER, n), r_upper)
+        got = select_unvisited_adjacent(y, graph, RestrictionSet(LOWER, n), r_upper)
         assert got is None
         assert y.upper_adjacent == 0  # s2 cleared, neighbour 11 covered above
         assert y.lower_adjacent == y.element  # 00 visited but uncovered, flag kept
@@ -174,7 +171,7 @@ def seeded_dfs(instance, going_up=True):
     a = minimal_element(r_lower)
     r_lower.update(a)
     node = Node(a, full ^ a, 0, full ^ a)
-    dfs(node, n, r_lower, r_upper, ev)
+    dfs(node, r_lower, r_upper, ev)
     return r_lower, r_upper, ev
 
 
@@ -211,7 +208,7 @@ class TestDfs:
                 continue
             before = {x for x in range(1 << n) if in_current_space(r_lower, r_upper, x)}
             node = Node(a, full_set(n) ^ a, 0, full_set(n) ^ a)
-            dfs(node, n, r_lower, r_upper, ev)
+            dfs(node, r_lower, r_upper, ev)
             after = {x for x in range(1 << n) if in_current_space(r_lower, r_upper, x)}
             removed = before - after
             if not removed:
@@ -241,10 +238,10 @@ class TestDfs:
 
             return watched
 
-        def watch_select(y, graph, n, r_lower, r_upper):
+        def watch_select(y, graph, r_lower, r_upper):
             if y.element in killed:
                 expanded_dead.append(y.element)
-            return select(y, graph, n, r_lower, r_upper)
+            return select(y, graph, r_lower, r_upper)
 
         def on_event(event):
             if event["event"] == "push":
@@ -269,7 +266,7 @@ class TestDfs:
             r_lower.update(a)
             pushed.add(a)
             full = full_set(n)
-            dfs(Node(a, full ^ a, 0, full ^ a), n, r_lower, r_upper, CostEvaluator(inst), on_event)
+            dfs(Node(a, full ^ a, 0, full ^ a), r_lower, r_upper, CostEvaluator(inst), on_event)
             kills += len(killed)
             pushed.clear()
             killed.clear()
@@ -278,27 +275,22 @@ class TestDfs:
         assert not flushed_dead
 
 
+BAD_P_UPS = (1.5, -0.5, float("nan"))
+
+
 class TestSelectDirection:
-    def test_extremes(self):
-        rng = random.Random(0)
-        assert all(select_direction(rng, 1.0) == UP for _ in range(50))
-        assert all(select_direction(rng, 0.0) == DOWN for _ in range(50))
+    """Both lattice searches draw up when random() < p_up, p_up checked once first."""
 
-    def test_seeded_sequence_reproducible(self):
-        a = [select_direction(random.Random(7), 0.5) for _ in range(20)]
-        b = [select_direction(random.Random(7), 0.5) for _ in range(20)]
-        assert a == b
-
-    def test_p_up_validated(self):
-        with pytest.raises(ValueError):
-            select_direction(random.Random(0), 1.5)
-
-    @pytest.mark.parametrize("p_up", [1.5, -0.5, float("nan")])
-    def test_solver_rejects_p_up_before_evaluating(self, p_up):
+    @pytest.mark.parametrize(
+        "solve, p_up",
+        [pytest.param(ucs_solve, p_up, id=str(p_up)) for p_up in BAD_P_UPS]
+        + [pytest.param(legacy_ucurve_solve, p_up, id=f"legacy-{p_up}") for p_up in BAD_P_UPS],
+    )
+    def test_solver_rejects_p_up_before_evaluating(self, solve, p_up):
         inst = generate_subset_sum_instance(5, 3)
         ev = CostEvaluator(inst, n=5)
         with pytest.raises(ValueError, match="p_up"):
-            ucs_solve(5, inst, p_up=p_up, evaluator=ev)
+            solve(5, inst, p_up=p_up, evaluator=ev)
         assert ev.memo == {}
 
 
@@ -461,7 +453,7 @@ class TestFlagSoundnessCheck:
         # none is left; nothing is unverified, so the seed pops at once
         seed = Node(0b011, 0, lower_adjacent, upper_adjacent)
         with pytest.raises(RuntimeError, match=f"unsound {side} flag"):
-            dfs(seed, n, r_lower, r_upper, ev)
+            dfs(seed, r_lower, r_upper, ev)
         assert len(r_lower) == len(r_upper) == 0
 
     def test_check_survives_optimized_mode(self):
@@ -471,7 +463,7 @@ class TestFlagSoundnessCheck:
             "from ucurve.ucs import Node, dfs\n"
             "assert False, 'assertions are on'\n"
             "try:\n"
-            "    dfs(Node(0b011, 0, 0, 0b100), 3, RestrictionSet(LOWER, 3),\n"
+            "    dfs(Node(0b011, 0, 0, 0b100), RestrictionSet(LOWER, 3),\n"
             "        RestrictionSet(UPPER, 3), CostEvaluator(float, n=3))\n"
             "except RuntimeError as exc:\n"
             "    print('raised:', exc)\n"
