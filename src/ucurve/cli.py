@@ -169,9 +169,7 @@ def cmd_bench(args) -> int:
     if args.threshold_scope:
         overrides["threshold_scope"] = args.threshold_scope
     if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
+        config = config.replace(**overrides)
     for path in run_benchmark(config, args.out):
         print(path)
     return EXIT_OK

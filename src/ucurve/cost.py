@@ -5,7 +5,8 @@ Three instance kinds are supported:
 * ``subset_sum``: weights w and target t, cost(X) = |t - sum of w over X|.
   Along any chain the weight sum is monotone, so the absolute gap to the
   target is U-shaped on every chain; these are the synthetic "hard"
-  instances used by the benchmark protocols.
+  instances used by the benchmark protocols. The instance's cost function
+  sums the weights from one table per 8 features, in exact ints.
 * ``explicit``: a total cost table over all 2**n subsets, used for
   regression fixtures (searched counter-examples in particular).
 * ``mce``: a penalized mean conditional entropy over a binary sample
@@ -26,11 +27,11 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .lattice import check_degree, check_element, parse_element, render_element
+from .record import FrozenRecord
 
 SUBSET_SUM = "subset_sum"
 MCE = "mce"
@@ -43,19 +44,21 @@ MAX_EXPLICIT_DEGREE = 24
 DEFAULT_WEIGHT_MAX = 10_000
 
 
-@dataclass(frozen=True)
-class SampleTable:
-    """Binary training rows: (observed feature mask, binary label)."""
+class SampleTable(FrozenRecord):
+    """Binary training rows: (observed feature mask, binary label).
 
-    n: int
-    rows: tuple[tuple[int, int], ...]
+    A frozen value: built by keyword or position, compared and hashed by
+    its fields, and never changed after the constructor has checked it.
+    """
 
-    def __post_init__(self) -> None:
-        check_degree(self.n)
-        if not self.rows:
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, rows: tuple[tuple[int, int], ...]) -> None:
+        self._init(n=n, rows=rows)
+        check_degree(n)
+        if not rows:
             raise ValueError("a sample table needs at least one row")
-        n = self.n
-        for x, y in self.rows:
+        for x, y in rows:
             if type(x) is not int or x < 0 or x >> n:
                 raise ValueError(f"row masks must be ints in range for degree {n}, got {x!r}")
             if type(y) is not int or y not in (0, 1):
@@ -67,60 +70,90 @@ class SampleTable:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class Instance:
-    n: int
-    kind: str
-    weights: tuple[int, ...] | None = None
-    target: int | None = None
-    costs: tuple[float, ...] | None = None  # indexed by element mask
-    samples: SampleTable | None = None
+class Instance(FrozenRecord):
+    """A cost input of one kind: subset_sum, explicit or mce.
 
-    def __post_init__(self) -> None:
-        check_degree(self.n)
-        if self.kind == SUBSET_SUM:
-            if self.weights is None or self.target is None:
+    A frozen value like SampleTable. Building one checks its fields and
+    precomputes nothing; cost_function() builds whatever its kind's kernel
+    needs each time it is called, so once per CostEvaluator.
+    """
+
+    __slots__ = ("n", "kind", "weights", "target", "costs", "samples")
+
+    def __init__(
+        self,
+        n: int,
+        kind: str,
+        weights: tuple[int, ...] | None = None,
+        target: int | None = None,
+        costs: tuple[float, ...] | None = None,  # indexed by element mask
+        samples: SampleTable | None = None,
+    ) -> None:
+        self._init(n=n, kind=kind, weights=weights, target=target, costs=costs, samples=samples)
+        check_degree(n)
+        if kind == SUBSET_SUM:
+            if weights is None or target is None:
                 raise ValueError("subset_sum instances need weights and target")
-            if len(self.weights) != self.n:
+            if len(weights) != n:
                 raise ValueError("weights length must equal the degree")
-            if not all(type(v) is int for v in (*self.weights, self.target)):
+            if not all(type(v) is int for v in (*weights, target)):
                 raise ValueError("weights and target must be ints")
-            if any(w < 0 for w in self.weights) or self.target < 0:
+            if any(w < 0 for w in weights) or target < 0:
                 raise ValueError("weights and target must be non-negative")
-        elif self.kind == EXPLICIT:
-            if self.n > MAX_EXPLICIT_DEGREE:
+        elif kind == EXPLICIT:
+            if n > MAX_EXPLICIT_DEGREE:
                 raise ValueError(f"explicit instances capped at degree {MAX_EXPLICIT_DEGREE}")
-            if self.costs is None or len(self.costs) != 1 << self.n:
+            if costs is None or len(costs) != 1 << n:
                 raise ValueError("explicit instances need a cost for every subset")
-            if not all(is_finite_number(c) for c in self.costs):
+            if not all(is_finite_number(c) for c in costs):
                 raise ValueError("costs must be finite numbers")
-            if any(c < 0 for c in self.costs):
+            if any(c < 0 for c in costs):
                 raise ValueError("costs must be non-negative")
-        elif self.kind == MCE:
-            if self.samples is None:
+        elif kind == MCE:
+            if samples is None:
                 raise ValueError("mce instances need a sample table")
-            if self.samples.n != self.n:
+            if samples.n != n:
                 raise ValueError("sample width must equal the degree")
         else:
-            raise ValueError(f"unknown instance kind {self.kind!r}")
+            raise ValueError(f"unknown instance kind {kind!r}")
 
     def cost_function(self) -> Callable[[int], float]:
         if self.kind == SUBSET_SUM:
-            weights, target = self.weights, self.target
-
-            def subset_sum(x: int) -> float:
-                s = 0
-                while x:
-                    b = x & -x
-                    s += weights[b.bit_length() - 1]
-                    x ^= b
-                return float(abs(target - s))
-
-            return subset_sum
+            return _subset_sum_kernel(self.weights, self.target)
         if self.kind == EXPLICIT:
             table = self.costs
             return lambda x: table[x]
         return _mce_kernel(self.samples)
+
+
+def _subset_sum_kernel(weights: tuple[int, ...], target: int) -> Callable[[int], float]:
+    """|target - sum of the weights in x|, summed from one table per 8 features.
+
+    Entry j of table i is the sum of the weights of features 8i.. 8i+7 whose
+    bits are set in j (the last table covers only the features left, so it
+    may be shorter than 256). The sums are ints, exact at any size, so the
+    float equals the one a bit-by-bit sum gives. The tables are built here,
+    once per cost function (255 additions per full table), not when the
+    instance is.
+    """
+    n = len(weights)
+    tables = []
+    for low in range(0, n, 8):
+        table = [0]
+        for w in weights[low : low + 8]:
+            table += [s + w for s in table]
+        tables.append(table)
+
+    def subset_sum(x: int) -> float:
+        if x >> n:
+            raise ValueError(f"element {x} out of range for degree {n}")
+        s = 0
+        for table in tables:
+            s += table[x & 255]
+            x >>= 8
+        return float(abs(target - s))
+
+    return subset_sum
 
 
 def is_finite_number(value) -> bool:
@@ -272,7 +305,10 @@ class CostEvaluator:
     a node budget, the call that would exceed the budget is never
     performed: BudgetExhausted is raised instead. With a cost target,
     target_reached latches as soon as a freshly computed value is <= the
-    target; solvers poll the flag.
+    target; solvers poll the flag. Both criteria are checked before the
+    cost function is built: a budget must be a non-negative int and a
+    target a number other than NaN (bools are neither; ±inf are targets
+    that never fire or always fire), else ValueError.
 
     A bare callable is wrapped by checked_cost, so a non-finite or
     non-numeric cost raises ValueError. Instance cost functions are finite
@@ -297,6 +333,14 @@ class CostEvaluator:
         node_budget: int | None = None,
         cost_target: float | None = None,
     ) -> None:
+        if node_budget is not None and (type(node_budget) is not int or node_budget < 0):
+            raise ValueError(f"node budget must be a non-negative int, got {node_budget!r}")
+        if cost_target is not None and (
+            isinstance(cost_target, bool)
+            or not isinstance(cost_target, (int, float))
+            or math.isnan(cost_target)
+        ):
+            raise ValueError(f"cost target must be a number other than NaN, got {cost_target!r}")
         if isinstance(cost, Instance):
             self.fn = cost.cost_function()
             self.n = cost.n
@@ -306,8 +350,6 @@ class CostEvaluator:
             check_degree(n)
             self.fn = checked_cost(cost)
             self.n = n
-        if node_budget is not None and (not isinstance(node_budget, int) or node_budget < 0):
-            raise ValueError(f"node budget must be a non-negative int, got {node_budget!r}")
         self.memo: dict[int, float] = {}
         self.node_budget = node_budget
         self.cost_target = cost_target
@@ -531,7 +573,7 @@ def load_instance(path: str | Path) -> Instance:
         raise ValueError(f"{path}: instance file must hold a JSON object")
     kind = payload.get("kind")
     n = payload.get("n")
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError(f"{path}: missing integer field 'n'")
     check_degree(n)
     if kind == SUBSET_SUM:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -21,6 +20,7 @@ from . import cost as costmod
 from .cost import Instance, load_instance, load_samples, mce_instance, save_instance, save_samples
 from .lattice import MAX_DEGREE
 from .oracle import EXHAUSTIVE_MAX_DEGREE, exhaustive_solve, legacy_ucurve_solve
+from .record import Record
 from .report import SearchReport
 from .sffs import sffs_solve
 from .ubb import ubb_solve
@@ -46,6 +46,8 @@ SOLVERS: dict[str, Callable[..., SearchReport]] = {
 
 ALGORITHMS = tuple(SOLVERS)
 
+_REPORT_FORMATS = ("csv", "json")
+
 
 def derive_seed(*parts) -> int:
     """Stable sub-seed from a root seed and a label path (hash-randomization safe)."""
@@ -53,23 +55,61 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-@dataclass
-class ExperimentConfig:
-    sizes: list[int]
-    instances_per_size: int = 100
-    seed: int = 0
-    algorithms: list[str] = field(default_factory=lambda: ["ucs", "ubb", "sffs"])
-    cost_kind: str = costmod.SUBSET_SUM
-    mode: str = OPTIMAL
-    threshold_scope: str = "mean"  # or "per-instance"
-    weight_max: int = costmod.DEFAULT_WEIGHT_MAX
-    sample_rows: int = 200
-    p_up: float = 0.5
-    jobs: int = 1
-    include_times: bool = True
+_DEFAULT_ALGORITHMS = ("ucs", "ubb", "sffs")
 
-    def __post_init__(self) -> None:
-        # every field's type and range, so that a bad config fails before anything is written
+
+class ExperimentConfig(Record):
+    """One experiment protocol run: sizes, instances, solvers, mode and output options.
+
+    A plain Record: built by keyword, compared field by field, and copied
+    with changes by replace(), which checks the copy again. Every field's
+    type and range is checked when it is built, so that a bad config fails
+    before anything is written.
+    """
+
+    __slots__ = (
+        "sizes",
+        "instances_per_size",
+        "seed",
+        "algorithms",
+        "cost_kind",
+        "mode",
+        "threshold_scope",
+        "weight_max",
+        "sample_rows",
+        "p_up",
+        "jobs",
+        "include_times",
+    )
+
+    def __init__(
+        self,
+        sizes: list[int],
+        instances_per_size: int = 100,
+        seed: int = 0,
+        algorithms: list[str] = _DEFAULT_ALGORITHMS,
+        cost_kind: str = costmod.SUBSET_SUM,
+        mode: str = OPTIMAL,
+        threshold_scope: str = "mean",  # or "per-instance"
+        weight_max: int = costmod.DEFAULT_WEIGHT_MAX,
+        sample_rows: int = 200,
+        p_up: float = 0.5,
+        jobs: int = 1,
+        include_times: bool = True,
+    ) -> None:
+        self.sizes = sizes
+        self.instances_per_size = instances_per_size
+        self.seed = seed
+        # a fresh list for each config built with the default
+        self.algorithms = list(algorithms) if algorithms is _DEFAULT_ALGORITHMS else algorithms
+        self.cost_kind = cost_kind
+        self.mode = mode
+        self.threshold_scope = threshold_scope
+        self.weight_max = weight_max
+        self.sample_rows = sample_rows
+        self.p_up = p_up
+        self.jobs = jobs
+        self.include_times = include_times
         _check_list("sizes", self.sizes, lambda size: _check_int("each of sizes", size, 1, MAX_DEGREE))
         _check_list("algorithms", self.algorithms, _check_algorithm)
         if "exhaustive" in self.algorithms and max(self.sizes) > EXHAUSTIVE_MAX_DEGREE:
@@ -98,8 +138,7 @@ class ExperimentConfig:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
+        unknown = set(payload) - set(cls.__slots__)
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         return cls(**payload)
@@ -433,7 +472,7 @@ def run_suboptimal(config: ExperimentConfig, workdir: str | Path) -> tuple[list[
 
     # thresholds land on disk before step 3 runs, so an aborted step still
     # leaves the pre-processing results behind
-    for fmt in ("csv", "json"):
+    for fmt in _REPORT_FORMATS:
         emit_report(
             threshold_rows,
             report_columns(config, "thresholds"),
@@ -571,7 +610,7 @@ def run_benchmark(config: ExperimentConfig, outdir: str | Path) -> list[Path]:
 
     def emit(rows: list[dict], table: str, stem: str) -> None:
         columns = report_columns(config, table)
-        for fmt in ("csv", "json"):
+        for fmt in _REPORT_FORMATS:
             path = outdir / f"{stem}.{fmt}"
             emit_report(rows, columns, path, fmt)
             written.append(path)
@@ -579,8 +618,9 @@ def run_benchmark(config: ExperimentConfig, outdir: str | Path) -> list[Path]:
     if config.mode == OPTIMAL:
         emit(run_optimal(config, outdir), "comparison", "optimal")
     elif config.mode == SUBOPTIMAL:
-        thresholds, results = run_suboptimal(config, outdir)
-        emit(thresholds, "thresholds", "suboptimal_thresholds")
+        # run_suboptimal has written the thresholds itself, before its step 3
+        _, results = run_suboptimal(config, outdir)
+        written += [outdir / f"suboptimal_thresholds.{fmt}" for fmt in _REPORT_FORMATS]
         emit(results, "comparison", "suboptimal_results")
     else:
         emit(dynamics_profile(config, outdir), "dynamics", "dynamics")

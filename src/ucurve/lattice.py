@@ -26,7 +26,8 @@ _ACCEL_MAX_DEGREE = 20
 
 
 def check_degree(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_DEGREE:
+    """Raise ValueError unless n is an int (not a bool) in 1..MAX_DEGREE."""
+    if type(n) is not int or not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"degree must be an int in 1..{MAX_DEGREE}, got {n!r}")
 
 

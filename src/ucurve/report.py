@@ -8,34 +8,62 @@ node-budget stop and the report live here, once for all of them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from .cost import BudgetExhausted, CostEvaluator, Instance
 from .lattice import check_degree, render_element
+from .record import Record
 
 
-@dataclass
-class SearchReport:
+class SearchReport(Record):
     """Outcome and instrumentation of one solver run.
 
     minima holds every found element of best cost, sorted by characteristic
     vector for reproducible output. minmax_calls doubles as the number of
     main-loop iterations for the lattice search (each iteration asks for one
-    minimal or maximal element).
+    minimal or maximal element). A plain Record: built by keyword, compared
+    field by field.
     """
 
-    algorithm: str
-    n: int
-    minima: list[int]
-    best_cost: float | None
-    computed_nodes: int
-    wall_time: float
-    time_in_cost: float
-    dfs_calls: int = 0
-    minmax_calls: int = 0
-    budget_exhausted: bool = False
-    target_reached: bool = False
+    __slots__ = (
+        "algorithm",
+        "n",
+        "minima",
+        "best_cost",
+        "computed_nodes",
+        "wall_time",
+        "time_in_cost",
+        "dfs_calls",
+        "minmax_calls",
+        "budget_exhausted",
+        "target_reached",
+    )
+
+    def __init__(
+        self,
+        algorithm: str,
+        n: int,
+        minima: list[int],
+        best_cost: float | None,
+        computed_nodes: int,
+        wall_time: float,
+        time_in_cost: float,
+        dfs_calls: int = 0,
+        minmax_calls: int = 0,
+        budget_exhausted: bool = False,
+        target_reached: bool = False,
+    ) -> None:
+        self.algorithm = algorithm
+        self.n = n
+        self.minima = minima
+        self.best_cost = best_cost
+        self.computed_nodes = computed_nodes
+        self.wall_time = wall_time
+        self.time_in_cost = time_in_cost
+        self.dfs_calls = dfs_calls
+        self.minmax_calls = minmax_calls
+        self.budget_exhausted = budget_exhausted
+        self.target_reached = target_reached
 
     @property
     def time_other(self) -> float:

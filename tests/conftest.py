@@ -17,6 +17,16 @@ def in_current_space(r_lower: RestrictionSet, r_upper: RestrictionSet, x: int) -
     return not r_lower.covers(x) and not r_upper.covers(x)
 
 
+def subset_sum_reference(weights, target, x: int) -> float:
+    """|target - sum of the weights in x|, one set bit at a time: the reference for the kernel."""
+    s = 0
+    while x:
+        b = x & -x
+        s += weights[b.bit_length() - 1]
+        x ^= b
+    return float(abs(target - s))
+
+
 def brute_minima(instance: Instance) -> tuple[set[int], float]:
     """Enumerate every subset; return (argmin set, min cost)."""
     fn = instance.cost_function()

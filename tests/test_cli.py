@@ -185,3 +185,22 @@ def test_solve_rejects_p_up_for_every_algorithm(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "p_up" in captured.err
+
+
+def test_solve_rejects_a_bool_degree(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"n": True, "kind": "subset_sum", "weights": [3], "target": 1}))
+    for algorithm in ("ucs", "ubb", "sffs", "exhaustive", "ucurve-legacy"):
+        assert run(["solve", "--algorithm", algorithm, "--instance", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'n'" in captured.err
+
+
+def test_solve_rejects_a_nan_cost_target(tmp_path, capsys):
+    run(["generate", "--n", "5", "--count", "1", "--seed", "6", "--out", tmp_path])
+    instance = capsys.readouterr().out.strip()
+    assert run(["solve", "--algorithm", "ubb", "--instance", instance, "--cost-target", "nan"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cost target" in captured.err

@@ -21,6 +21,7 @@ from ucurve.cost import (
     save_samples,
     verify_decomposable,
 )
+from conftest import subset_sum_reference
 from ucurve.lattice import parse_element
 
 
@@ -43,8 +44,12 @@ def brute_decomposable(instance):
 
 def subset_sum_cost(weights, target, x):
     """The cost of x under the package's one subset-sum implementation."""
+    return subset_sum_kernel(weights, target)(x)
+
+
+def subset_sum_kernel(weights, target):
     instance = Instance(n=len(weights), kind="subset_sum", weights=weights, target=target)
-    return instance.cost_function()(x)
+    return instance.cost_function()
 
 
 class TestSubsetSumCost:
@@ -56,6 +61,54 @@ class TestSubsetSumCost:
 
     def test_empty_set_costs_target(self):
         assert subset_sum_cost((7, 1, 9, 4), 13, 0) == 13.0
+
+
+class TestSubsetSumKernel:
+    """The per-byte table kernel against the bit loop it replaced, kept here as the reference."""
+
+    @given(
+        st.integers(min_value=1, max_value=10),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_mask_of_small_degrees(self, n, data):
+        weights = tuple(data.draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n)))
+        target = data.draw(st.sampled_from([0, sum(weights)]) | st.integers(0, sum(weights)))
+        fn = subset_sum_kernel(weights, target)
+        for x in range(1 << n):
+            value = fn(x)
+            assert type(value) is float
+            assert value == subset_sum_reference(weights, target, x)
+
+    @given(st.sampled_from([9, 15, 16, 17, 24, 63, 64]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sampled_masks_across_table_boundaries(self, n, data):
+        # one table, two, a partial last table, and all eight full tables
+        weights = tuple(data.draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n)))
+        target = data.draw(st.sampled_from([0, sum(weights)]))
+        fn = subset_sum_kernel(weights, target)
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=50))
+        for x in [0, (1 << n) - 1, *masks]:
+            assert fn(x) == subset_sum_reference(weights, target, x)
+
+    @pytest.mark.parametrize("n", [1, 8, 12, 64])
+    def test_out_of_range_mask_rejected(self, n):
+        fn = subset_sum_kernel(tuple(range(1, n + 1)), 3)
+        for x in (-1, 1 << n, (1 << n) | 1):
+            with pytest.raises(ValueError, match="out of range"):
+                fn(x)
+
+    def test_the_tables_are_built_per_cost_function_not_per_instance(self):
+        def tables_of(fn):
+            (tables,) = [c.cell_contents for c in fn.__closure__ if type(c.cell_contents) is list]
+            return tables
+
+        instance = generate_subset_sum_instance(12, 3)
+        first = tables_of(instance.cost_function())
+        second = tables_of(instance.cost_function())
+        assert [len(table) for table in first] == [256, 16]
+        assert first == second and first is not second
+        assert not hasattr(instance, "__dict__")  # nothing can be cached on the instance
 
 
 class TestEvaluator:
@@ -93,6 +146,33 @@ class TestEvaluator:
         assert not ev.target_reached
         ev.evaluate(2)
         assert ev.target_reached
+
+    @pytest.mark.parametrize("budget", [True, False, 2.0, "3", -1])
+    def test_node_budget_checked_when_built(self, budget):
+        # True once ran as a budget of 1 and False as 0
+        with pytest.raises(ValueError, match="node budget"):
+            CostEvaluator(float, n=3, node_budget=budget)
+
+    @pytest.mark.parametrize("target", ["5", float("nan"), True, False, 1j])
+    def test_cost_target_checked_when_built(self, target):
+        # "5" once raised TypeError after the first evaluation, and NaN never fired
+        with pytest.raises(ValueError, match="cost target"):
+            CostEvaluator(float, n=3, cost_target=target)
+
+    def test_infinite_cost_targets_stay_valid(self):
+        always = CostEvaluator(float, n=3, cost_target=float("inf"))
+        always.evaluate(5)
+        assert always.target_reached
+        never = CostEvaluator(float, n=3, cost_target=float("-inf"))
+        never.evaluate(0)
+        assert not never.target_reached
+
+    def test_stop_criteria_checked_before_the_cost_function_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(Instance, "cost_function", lambda self: built.append(self))
+        with pytest.raises(ValueError, match="cost target"):
+            CostEvaluator(generate_subset_sum_instance(4, 1), cost_target=float("nan"))
+        assert built == []
 
     def test_counter_matches_independent_trace(self):
         trace = []
@@ -250,6 +330,27 @@ class TestSubsetSumInputs:
     def test_target_must_be_int(self, bad):
         with pytest.raises(ValueError, match="ints"):
             Instance(n=2, kind="subset_sum", weights=(2, 1), target=bad)
+
+
+class TestBoolDegree:
+    # True is an int equal to 1, and each of these once took it for degree 1
+    def test_instance_rejects_a_bool_degree(self):
+        with pytest.raises(ValueError, match="degree"):
+            Instance(n=True, kind="subset_sum", weights=(3,), target=1)
+
+    def test_sample_table_rejects_a_bool_degree(self):
+        with pytest.raises(ValueError, match="degree"):
+            SampleTable(n=True, rows=((1, 0), (0, 1)))
+
+    def test_load_instance_rejects_a_bool_degree(self, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"n": True, "kind": "subset_sum", "weights": [3], "target": 1}))
+        with pytest.raises(ValueError, match="'n'"):
+            load_instance(path)
+
+    def test_evaluator_rejects_a_bool_degree(self):
+        with pytest.raises(ValueError, match="degree"):
+            CostEvaluator(float, n=True)
 
 
 class TestVerifyDecomposable:

@@ -1,7 +1,10 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from ucurve import harness
 from ucurve.cost import generate_subset_sum_instance
 from ucurve.harness import (
     ExperimentConfig,
@@ -222,6 +225,45 @@ class TestEmission:
         ]
         for pa, pb in zip(out_a, out_b):
             assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize(
+        "scope, digests",
+        [
+            (
+                "mean",
+                {
+                    "suboptimal_thresholds.csv": "90b16d290971c5ab",
+                    "suboptimal_thresholds.json": "86cf40bd124b8d25",
+                    "suboptimal_results.csv": "7235da927660e1f1",
+                    "suboptimal_results.json": "856a1c27193b4b48",
+                },
+            ),
+            (
+                "per-instance",
+                {
+                    "suboptimal_thresholds.csv": "36ddb268d24ef07e",
+                    "suboptimal_thresholds.json": "bcb7de2b16113b89",
+                    "suboptimal_results.csv": "34f3da28036c8795",
+                    "suboptimal_results.json": "e56815c5b33d64dd",
+                },
+            ),
+        ],
+    )
+    def test_suboptimal_reports_written_once(self, tmp_path, monkeypatch, scope, digests):
+        # the digests were taken when run_benchmark still wrote the thresholds a second time
+        written = []
+        emit = harness.emit_report
+
+        def counted(rows, columns, path, fmt="csv"):
+            written.append(Path(path).name)
+            emit(rows, columns, path, fmt)
+
+        monkeypatch.setattr(harness, "emit_report", counted)
+        cfg = small_config(mode="suboptimal", instances_per_size=4, threshold_scope=scope)
+        paths = run_benchmark(cfg, tmp_path)
+        assert [p.name for p in paths] == list(digests)
+        assert sorted(written) == sorted(digests)
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in paths} == digests
 
     def test_time_columns_present_only_when_asked(self, tmp_path):
         timed = ExperimentConfig(sizes=[4], instances_per_size=2, seed=1, include_times=True)

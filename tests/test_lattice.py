@@ -83,6 +83,18 @@ class TestTextForm:
         assert parse_element(render_element(x, n), n) == x
 
 
+class TestDegree:
+    @pytest.mark.parametrize("orientation", [LOWER, UPPER])
+    @pytest.mark.parametrize("n", [True, False, 1.0, 0, 65])
+    def test_restriction_set_rejects_a_degree_that_is_not_an_int_in_range(self, orientation, n):
+        with pytest.raises(ValueError, match="degree"):
+            RestrictionSet(orientation, n)
+
+    def test_full_set_rejects_a_bool_degree(self):
+        with pytest.raises(ValueError, match="degree"):
+            full_set(True)
+
+
 class TestCovers:
     def test_lower_examples(self):
         r = lower_set(4, [parse_element("1110")])
