@@ -1,10 +1,15 @@
-"""Golden ucs trajectories.
+"""Golden solver trajectories.
 
 ``fixtures/ucs_trajectories.json`` pins, for 40 cases, what ucs computed,
 how it got there and what it reported: four instance kinds (subset sum,
 plateau and noisy decomposable explicit tables, mean conditional entropy),
 each run unbudgeted, under a node budget and under a cost target. A
 refactor of the search must reproduce every record on both coverage paths.
+
+``fixtures/solver_trajectories.json`` pins the same 40 cases for sffs, ubb
+and the legacy search: what each computed, what it reported and the order
+in which it evaluated the masks. The legacy search keeps restriction sets,
+so its records must hold on both coverage paths too.
 """
 
 import hashlib
@@ -21,10 +26,13 @@ from ucurve.cost import (
     generate_subset_sum_instance,
     mce_instance,
 )
-from ucurve.oracle import exhaustive_solve
+from ucurve.oracle import exhaustive_solve, legacy_ucurve_solve
+from ucurve.sffs import sffs_solve
+from ucurve.ubb import ubb_solve
 from ucurve.ucs import ucs_solve
 
 FIXTURE = Path(__file__).parent / "fixtures" / "ucs_trajectories.json"
+SOLVER_FIXTURE = Path(__file__).parent / "fixtures" / "solver_trajectories.json"
 
 STOPS = ("none", "budget", "target")
 
@@ -46,17 +54,21 @@ def build_instance(case):
     return mce_instance(generate_sample_table(n, 80, seed))
 
 
+def stop_criteria(case, inst):
+    n = inst.n
+    if case["stop"] == "budget":
+        return {"node_budget": 2**n // 4}
+    if case["stop"] == "target":
+        return {"cost_target": exhaustive_solve(n, inst).best_cost}
+    return {}
+
+
 def run(case):
     """The ucs report and event stream for one case."""
     inst = build_instance(case)
-    n = inst.n
-    stops = {}
-    if case["stop"] == "budget":
-        stops["node_budget"] = 2**n // 4
-    elif case["stop"] == "target":
-        stops["cost_target"] = exhaustive_solve(n, inst).best_cost
     events = []
-    report = ucs_solve(n, inst, seed=case["seed"], on_event=events.append, **stops)
+    stops = stop_criteria(case, inst)
+    report = ucs_solve(inst.n, inst, seed=case["seed"], on_event=events.append, **stops)
     return report, events
 
 
@@ -73,6 +85,39 @@ def trajectory(case):
     }
 
 
+OTHER_SOLVERS = {
+    "sffs": lambda n, cost, case, stops: sffs_solve(n, cost, **stops),
+    "ubb": lambda n, cost, case, stops: ubb_solve(n, cost, **stops),
+    "ucurve-legacy": lambda n, cost, case, stops: legacy_ucurve_solve(
+        n, cost, seed=case["seed"], **stops
+    ),
+}
+
+
+def solver_trajectory(case, solver):
+    """What sffs, ubb or the legacy search made of one case.
+
+    The cost reaches the solver as a bare callable that records each mask
+    it is asked for; the evaluator's memo asks once per mask, so the
+    record is the evaluation order.
+    """
+    inst = build_instance(case)
+    fn = inst.cost_function()
+    order = []
+
+    def recorded(x):
+        order.append(x)
+        return fn(x)
+
+    report = OTHER_SOLVERS[solver](inst.n, recorded, case, stop_criteria(case, inst))
+    return {
+        "computed_nodes": report.computed_nodes,
+        "minima": report.minima_vectors(),
+        "best_cost": report.best_cost,
+        "order_sha256": hashlib.sha256(json.dumps(order).encode()).hexdigest(),
+    }
+
+
 class TestGoldenTrajectories:
     """Each fixture record: the case, then what ucs made of it.
 
@@ -82,6 +127,9 @@ class TestGoldenTrajectories:
         import json, test_ucs_trajectories as t
         records = [dict(c, **t.trajectory(c)) for c in t.CASES]
         open('fixtures/ucs_trajectories.json', 'w').write(json.dumps(records, indent=1) + '\\n')"
+
+    and the other solvers' fixture the same way, from
+    ``[dict(c, solver=s, **t.solver_trajectory(c, s)) for s in t.OTHER_SOLVERS for c in t.CASES]``.
     """
 
     @pytest.mark.parametrize("bitmap", [True, False])
@@ -94,6 +142,21 @@ class TestGoldenTrajectories:
             case = {k: record[k] for k in CASES[0]}
             expected = {k: v for k, v in record.items() if k not in case}
             assert trajectory(case) == expected, case
+
+    @pytest.mark.parametrize(
+        "solver, bitmap",
+        [("sffs", True), ("ubb", True), ("ucurve-legacy", True), ("ucurve-legacy", False)],
+    )
+    def test_other_solvers_reproduced(self, monkeypatch, solver, bitmap):
+        if not bitmap:
+            monkeypatch.setattr(ucurve.lattice, "_ACCEL_MAX_DEGREE", 0)
+        records = json.loads(SOLVER_FIXTURE.read_text(encoding="utf-8"))
+        records = [r for r in records if r["solver"] == solver]
+        assert [{k: r[k] for k in CASES[0]} for r in records] == CASES
+        for record in records:
+            case = {k: record[k] for k in CASES[0]}
+            expected = {k: v for k, v in record.items() if k not in case and k != "solver"}
+            assert solver_trajectory(case, solver) == expected, case
 
     def test_each_cost_is_read_once(self, monkeypatch):
         # an unbudgeted run asks the evaluator once per push event, a DFS
