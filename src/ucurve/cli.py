@@ -113,25 +113,26 @@ def _load_cost_input(instance_path: Path | None, samples_path: Path | None):
 def cmd_generate(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    args.out.mkdir(parents=True, exist_ok=True)
+    # generate everything first: a bad input raises before the directory exists
+    outputs = []
     for idx in range(args.count):
         seed = derive_seed(args.seed, "instance", args.n, idx)
+        stem = f"n{args.n:02d}_i{idx:03d}"
         if args.kind == "subset-sum":
             instance = costmod.generate_subset_sum_instance(args.n, seed, args.weight_max)
-            path = args.out / f"n{args.n:02d}_i{idx:03d}.json"
-            save_instance(instance, path)
+            outputs.append((save_instance, instance, args.out / f"{stem}.json"))
         else:
             table = costmod.generate_sample_table(args.n, args.rows, seed, noise=args.noise)
-            path = args.out / f"n{args.n:02d}_i{idx:03d}.txt"
-            save_samples(table, path)
+            outputs.append((save_samples, table, args.out / f"{stem}.txt"))
+    args.out.mkdir(parents=True, exist_ok=True)
+    for save, made, path in outputs:
+        save(made, path)
         print(path)
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
     instance = _load_cost_input(args.instance, args.samples)
-    if args.budget is not None and args.budget < 0:
-        raise ValueError("budget must be non-negative")
     on_event = None
     if args.trace:
 

@@ -397,9 +397,10 @@ def verify_decomposable(
     Exhaustive mode covers every nested triple (degree capped at 10): a
     violation at y exists iff some subset of y and some superset of y are
     both strictly cheaper, so per-element subset/superset minima decide it.
-    Sampled mode draws random maximal chains (seeded permutations) and
-    checks every index triple along each, evaluating each distinct mask
-    once. Returns the first violating triple found, or None.
+    Sampled mode draws ``chains`` random maximal chains (seeded
+    permutations), at least one, and checks every index triple along each,
+    evaluating each distinct mask once. Returns the first violating triple
+    found, or None.
     """
     fn = instance.cost_function()
     n = instance.n
@@ -428,6 +429,8 @@ def verify_decomposable(
         return None
     if mode != "sampled":
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    if chains < 1:
+        raise ValueError(f"sampled verification needs at least one chain, got {chains}")
     rng = random.Random(seed)
     order = list(range(n))
     seen: dict[int, float] = {}
@@ -476,11 +479,14 @@ def generate_sample_table(
     """Synthetic sample table with a planted informative feature subset.
 
     The label is the parity of the planted features, flipped with the given
-    noise probability; the remaining features are uninformative.
+    noise probability, which must lie in [0, 1]; the remaining features are
+    uninformative.
     """
     check_degree(n)
     if rows < 1:
         raise ValueError("need at least one row")
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError(f"noise must be a probability within [0, 1], got {noise}")
     rng = random.Random(seed)
     if planted_size is None:
         planted_size = max(1, n // 3)

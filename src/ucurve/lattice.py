@@ -75,24 +75,26 @@ class RestrictionSet:
 
     For n <= 20 a per-degree coverage bitmap is the working structure. Each
     byte tags one lattice element: 0 uncovered, 1 covered, 2 antichain
-    member. Marking walks a spanning tree of the new interval: for LOWER, a
-    child reached from x by clearing bit b may only clear bits above b
-    further (exactly the bits its parent has still to try), and the walk
-    stops at a child that is already covered (UPPER is the dual, setting
-    bits). The uncovered part of the lattice is closed upward, so every
-    superset of a newly covered z inside x was uncovered too: the tree path
-    to z, which clears the bits of x - z lowest first, runs through
-    uncovered elements only, and each newly covered element is reached
-    exactly once. Marking also does the absorption. Take LOWER and a member
-    r properly inside x; r's tree parent is r plus the highest bit of
-    x - r. Every proper superset of r inside x was uncovered, or a member
-    strictly containing r would exist and the set would not be an
-    antichain, so that parent is reached, meets r, finds the tag 2, and
-    demotes r to 1 and drops it. Absorption therefore costs O(1) per
-    absorbed member, and an insert costs O(n) per newly covered element.
-    The walk is a function bound to the bitmap and the antichain when the
-    set is built. Above degree 20, or with ``accelerate=False``, ``covers``
-    scans the antichain and ``update`` filters it.
+    member. ``_flip`` is 0 for LOWER and ``full`` for UPPER; XOR with it
+    maps UPPER onto LOWER, so both orientations share one code path. Take
+    LOWER. Marking walks a spanning tree of the new interval: a child
+    reached from x by clearing bit b may only clear bits above b further
+    (exactly the bits its parent has still to try), and the walk stops at
+    a child that is already covered. The uncovered part of the lattice is
+    closed upward, so every superset of a newly covered z inside x was
+    uncovered too: the tree path to z, which clears the bits of x - z
+    lowest first, runs through uncovered elements only, and each newly
+    covered element is reached exactly once. Marking also does the
+    absorption. Take a member r properly inside x; r's tree parent is r
+    plus the highest bit of x - r. Every proper superset of r inside x was
+    uncovered, or a member strictly containing r would exist and the set
+    would not be an antichain, so that parent is reached, meets r, finds
+    the tag 2, and demotes r to 1 and drops it. Absorption therefore costs
+    O(1) per absorbed member, and an insert costs O(n) per newly covered
+    element. The walk is ``_mark`` bound to the bitmap, the antichain and
+    the flip when the set is built. Above ``_ACCEL_MAX_DEGREE`` (20), the
+    one switch between the paths, ``covers`` scans the antichain and
+    ``update`` filters it.
 
     ``insert_seed`` is the insert for the answer of ``minimal_element``
     (LOWER) or ``maximal_element`` (UPPER). That answer's proper subsets
@@ -113,15 +115,11 @@ class RestrictionSet:
     (LOWER) or ``maximal_element`` (UPPER); see there.
     """
 
-    __slots__ = ("orientation", "n", "covered", "_members", "full", "_cover", "_cursor", "_mark")
+    __slots__ = (
+        "orientation", "n", "covered", "_members", "full", "_flip", "_cover", "_cursor", "_mark"
+    )
 
-    def __init__(
-        self,
-        orientation: str,
-        n: int,
-        members: Iterable[int] = (),
-        accelerate: bool | None = None,
-    ) -> None:
+    def __init__(self, orientation: str, n: int, members: Iterable[int] = ()) -> None:
         if orientation not in (LOWER, UPPER):
             raise ValueError(f"orientation must be {LOWER!r} or {UPPER!r}")
         check_degree(n)
@@ -129,17 +127,16 @@ class RestrictionSet:
         self.n = n
         self._members: dict[int, None] = {}
         self.full = (1 << n) - 1
-        if accelerate is None:
-            accelerate = n <= _ACCEL_MAX_DEGREE
-        self._cover = bytearray(1 << n) if accelerate else None
-        self.covered = self._cover.__getitem__ if accelerate else self._scan
-        if accelerate:
+        self._flip = 0 if orientation == LOWER else self.full
+        if n <= _ACCEL_MAX_DEGREE:
+            self._cover = bytearray(1 << n)
+            self.covered = self._cover.__getitem__
             # bound to the bitmap and the antichain, not to self: no cycle
-            if orientation == LOWER:
-                self._mark = partial(_mark_down, self._cover, self._members)
-            else:
-                self._mark = partial(_mark_up, self._cover, self._members, self.full)
-        self._cursor = 0 if orientation == LOWER else self.full
+            self._mark = partial(_mark, self._cover, self._members, self._flip)
+        else:
+            self._cover = None
+            self.covered = self._scan
+        self._cursor = self._flip
         for m in members:
             self.update(m)
 
@@ -195,7 +192,7 @@ class RestrictionSet:
         members = self._members
         members[x] = None
         cover[x] = 2
-        bits = x if self.orientation == LOWER else self.full ^ x
+        bits = x ^ self._flip
         while bits:
             b = bits & -bits
             bits ^= b
@@ -228,17 +225,21 @@ class RestrictionSet:
         return f"RestrictionSet({self.orientation}, n={self.n}, members={vecs})"
 
 
-def _mark_down(cover: bytearray, members: dict[int, None], x: int) -> None:
-    """Tag x 2 and the newly covered subsets of x 1, absorbing members on the way.
+def _mark(cover: bytearray, members: dict[int, None], flip: int, x: int) -> None:
+    """Tag x 2 and the newly covered elements of its interval 1, absorbing members on the way.
 
-    The spanning-tree walk of RestrictionSet: a child reached by clearing
-    bit b may only clear bits above b further. The root is walked without
-    a push, and a child is pushed only if it has bits left to try.
+    The spanning-tree walk of RestrictionSet: it flips the bits of
+    ``x ^ flip``, clearing them for LOWER (flip 0) and setting them for
+    UPPER (flip full, where ``y ^ b == y | b`` since b is clear in y), and
+    a child reached by flipping bit b may only flip bits above b further.
+    The root is walked without a push, and a child is pushed only if it
+    has bits left to try.
     """
     cover[x] = 2
-    # pairs of (element, the bits it may still clear)
+    # pairs of (element, the bits it may still flip)
     stack = []
-    y = bits = x
+    y = x
+    bits = x ^ flip
     while True:
         while bits:
             b = bits & -bits
@@ -253,33 +254,6 @@ def _mark_down(cover: bytearray, members: dict[int, None], x: int) -> None:
             elif tag == 2:
                 cover[child] = 1
                 del members[child]
-        if not stack:
-            return
-        bits = stack.pop()
-        y = stack.pop()
-
-
-def _mark_up(cover: bytearray, members: dict[int, None], full: int, x: int) -> None:
-    """Dual of _mark_down: tag the newly covered supersets of x, setting bits."""
-    cover[x] = 2
-    # pairs of (element, the bits it may still set)
-    stack = []
-    y = x
-    bits = full ^ x
-    while True:
-        while bits:
-            b = bits & -bits
-            bits ^= b
-            parent = y | b
-            tag = cover[parent]
-            if not tag:
-                cover[parent] = 1
-                if bits:
-                    stack.append(parent)
-                    stack.append(bits)
-            elif tag == 2:
-                cover[parent] = 1
-                del members[parent]
         if not stack:
             return
         bits = stack.pop()

@@ -26,10 +26,9 @@ def exhaustive_solve(
     cost: Instance | Callable[[int], float],
     node_budget: int | None = None,
     cost_target: float | None = None,
-    evaluator: CostEvaluator | None = None,
 ) -> SearchReport:
     """Evaluate all 2**n subsets and return every minimum."""
-    run = SolverRun("exhaustive", n, cost, node_budget, cost_target, evaluator)
+    run = SolverRun("exhaustive", n, cost, node_budget, cost_target)
     if n > EXHAUSTIVE_MAX_DEGREE:
         raise ValueError(f"exhaustive search is capped at degree {EXHAUSTIVE_MAX_DEGREE}")
     with run as ev:
@@ -47,7 +46,6 @@ def legacy_ucurve_solve(
     p_up: float = 0.5,
     node_budget: int | None = None,
     cost_target: float | None = None,
-    evaluator: CostEvaluator | None = None,
 ) -> SearchReport:
     """The original minimum-exhausting search; may return suboptimal cost.
 
@@ -63,7 +61,7 @@ def legacy_ucurve_solve(
     up when random() < p_up, p_up checked before anything is evaluated.
     """
     check_p_up(p_up)
-    run = SolverRun("ucurve-legacy", n, cost, node_budget, cost_target, evaluator)
+    run = SolverRun("ucurve-legacy", n, cost, node_budget, cost_target)
     draw = random.Random(seed).random
     r_lower = RestrictionSet(LOWER, n)
     r_upper = RestrictionSet(UPPER, n)
@@ -71,19 +69,14 @@ def legacy_ucurve_solve(
         while True:
             going_up = draw() < p_up
             if going_up:
-                a = minimal_element(r_lower)
-                if a is None:
-                    break
-                if r_upper.covered(a):
-                    r_lower.update(a)
-                    continue
+                own, other, a = r_lower, r_upper, minimal_element(r_lower)
             else:
-                a = maximal_element(r_upper)
-                if a is None:
-                    break
-                if r_lower.covered(a):
-                    r_upper.update(a)
-                    continue
+                own, other, a = r_upper, r_lower, maximal_element(r_upper)
+            if a is None:
+                break
+            if other.covered(a):
+                own.update(a)
+                continue
             m = _chain_minimum(a, n, ev, r_lower, r_upper, going_up)
             if ev.target_reached:
                 break

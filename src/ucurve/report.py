@@ -92,11 +92,12 @@ class SearchReport(Record):
 class SolverRun:
     """The contract of one solver run: degree check, evaluator, clock and budget stop.
 
-    Built before the search, it rejects an Instance or an evaluator whose
-    degree is not n with ValueError, before anything is evaluated, and
-    builds the CostEvaluator unless one is given. Entering it starts the
-    clock and yields the evaluator; a BudgetExhausted raised in the block
-    ends the block and marks the run budget_exhausted.
+    Built before the search, it rejects an Instance whose degree is not n
+    with ValueError, before anything is evaluated, and builds the run's
+    own CostEvaluator from the cost and the two stop criteria, so a run
+    never shares an evaluator and its criteria always apply. Entering it
+    starts the clock and yields the evaluator; a BudgetExhausted raised in
+    the block ends the block and marks the run budget_exhausted.
     """
 
     def __init__(
@@ -106,16 +107,12 @@ class SolverRun:
         cost: Instance | Callable[[int], float],
         node_budget: int | None = None,
         cost_target: float | None = None,
-        evaluator: CostEvaluator | None = None,
     ) -> None:
         check_degree(n)
         if isinstance(cost, Instance) and cost.n != n:
             raise ValueError(f"degree {n} does not match the instance's degree {cost.n}")
-        ev = evaluator or CostEvaluator(cost, n=n, node_budget=node_budget, cost_target=cost_target)
-        if ev.n != n:
-            raise ValueError(f"degree {n} does not match the evaluator's degree {ev.n}")
         self.algorithm = algorithm
-        self.evaluator = ev
+        self.evaluator = CostEvaluator(cost, n=n, node_budget=node_budget, cost_target=cost_target)
 
     def __enter__(self) -> CostEvaluator:
         self.started = time.perf_counter()

@@ -10,36 +10,32 @@ from .lattice import full_set
 from .report import SearchReport, SolverRun
 
 
-def sfs_step(current: int, n: int, evaluator: CostEvaluator) -> int:
-    """Add the single feature whose inclusion minimizes cost (ties: lowest index)."""
-    if current == full_set(n):
-        raise ValueError("nothing left to add")
+def _best_flip(current: int, bits: int, evaluator: CostEvaluator) -> int:
+    """Current's cheapest neighbour across one of bits; ties go to the lowest bit."""
     best = None
     best_cost = None
-    for b in range(n):
-        bit = 1 << b
-        if current & bit:
-            continue
-        c = evaluator.evaluate(current | bit)
+    while bits:
+        b = bits & -bits
+        bits ^= b
+        c = evaluator.evaluate(current ^ b)
         if best_cost is None or c < best_cost:
-            best, best_cost = current | bit, c
+            best, best_cost = current ^ b, c
     return best
+
+
+def sfs_step(current: int, n: int, evaluator: CostEvaluator) -> int:
+    """Add the single feature whose inclusion minimizes cost (ties: lowest index)."""
+    full = full_set(n)
+    if current == full:
+        raise ValueError("nothing left to add")
+    return _best_flip(current, full ^ current, evaluator)
 
 
 def sbs_step(current: int, n: int, evaluator: CostEvaluator) -> int:
     """Remove the single feature whose exclusion minimizes cost (ties: lowest index)."""
     if current == 0:
         raise ValueError("nothing left to remove")
-    best = None
-    best_cost = None
-    for b in range(n):
-        bit = 1 << b
-        if not current & bit:
-            continue
-        c = evaluator.evaluate(current ^ bit)
-        if best_cost is None or c < best_cost:
-            best, best_cost = current ^ bit, c
-    return best
+    return _best_flip(current, current, evaluator)
 
 
 def sffs_solve(
@@ -47,7 +43,6 @@ def sffs_solve(
     cost: Instance | Callable[[int], float],
     node_budget: int | None = None,
     cost_target: float | None = None,
-    evaluator: CostEvaluator | None = None,
 ) -> SearchReport:
     """Floating forward selection run over the whole cardinality range.
 
@@ -57,7 +52,7 @@ def sffs_solve(
     ends when the forward frontier reaches the full set; the result is the
     global best over all cardinalities. Suboptimal by design.
     """
-    run = SolverRun("sffs", n, cost, node_budget, cost_target, evaluator)
+    run = SolverRun("sffs", n, cost, node_budget, cost_target)
     full = full_set(n)
     with run as ev:
         current = 0

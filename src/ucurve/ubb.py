@@ -22,9 +22,8 @@ def ubb_solve(
     cost: Instance | Callable[[int], float],
     node_budget: int | None = None,
     cost_target: float | None = None,
-    evaluator: CostEvaluator | None = None,
 ) -> SearchReport:
-    run = SolverRun("ubb", n, cost, node_budget, cost_target, evaluator)
+    run = SolverRun("ubb", n, cost, node_budget, cost_target)
     with run as ev:
         root_cost = ev.evaluate(0)
         if not ev.target_reached:

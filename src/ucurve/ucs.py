@@ -157,36 +157,46 @@ def node_pruning(
 ) -> None:
     """Prune around the adjacent pair (x, y) when one side is strictly cheaper.
 
-    The costlier element of the pair is removed together with its interval
-    away from the cheaper one; the cheaper node's flag loses the bit toward
-    the removed neighbour, and the removed node's flag on that side empties.
+    Of the pair's upper and lower element, the costlier one is removed
+    together with its interval away from the cheaper one: a costlier lower
+    element goes with its lower interval, a costlier upper element with its
+    upper interval. The cheaper node's flag loses the bit toward the
+    removed neighbour, and the removed node's flag on that side empties.
     Equal costs fire nothing.
     """
-    cx = x.cost
-    cy = y.cost
-    if cx == cy:
+    if x.cost == y.cost:
         return
     bit = x.element ^ y.element
     if bit == 0 or bit & (bit - 1):
         raise ValueError("node_pruning needs adjacent nodes")
-    if x.element & bit:  # x is upper adjacent to y
-        if cx < cy:
-            lower_pruning(y, r_lower, on_event)
-            x.lower_adjacent &= ~bit
-            y.lower_adjacent = 0
-        else:
-            upper_pruning(x, r_upper, on_event)
-            y.upper_adjacent &= ~bit
-            x.upper_adjacent = 0
-    else:  # x is lower adjacent to y
-        if cx < cy:
-            upper_pruning(y, r_upper, on_event)
-            x.upper_adjacent &= ~bit
-            y.upper_adjacent = 0
-        else:
-            lower_pruning(x, r_lower, on_event)
-            y.lower_adjacent &= ~bit
-            x.lower_adjacent = 0
+    upper, lower = (x, y) if x.element & bit else (y, x)
+    if upper.cost < lower.cost:
+        lower_pruning(lower, r_lower, on_event)
+        upper.lower_adjacent &= ~bit
+        lower.lower_adjacent = 0
+    else:
+        upper_pruning(upper, r_upper, on_event)
+        lower.upper_adjacent &= ~bit
+        upper.upper_adjacent = 0
+
+
+def check_flag(r: RestrictionSet, element: int) -> None:
+    """Raise RuntimeError unless every neighbour of element on r's side is covered.
+
+    An empty flag licenses removing element's interval on that side; a
+    flag that claims so while a neighbour there is uncovered would remove
+    a region nobody examined.
+    """
+    side = r.orientation
+    covered = r.covered
+    bits = element if side == LOWER else r.full ^ element
+    while bits:
+        b = bits & -bits
+        bits ^= b
+        if not covered(element ^ b):
+            raise RuntimeError(
+                f"unsound {side} flag: a {side} neighbour of {element:#x} is uncovered"
+            )
 
 
 def dfs(
@@ -215,7 +225,6 @@ def dfs(
     """
     lower_covered = r_lower.covered
     upper_covered = r_upper.covered
-    full = r_lower.full
     if m_node.cost is None:
         m_node.cost = evaluator.evaluate(m_node.element)
     if evaluator.target_reached:
@@ -247,26 +256,10 @@ def dfs(
             if cx <= cy:
                 break
         if not y.lower_adjacent and not lower_covered(ye):
-            # flag soundness: an empty flag must mean every neighbour on that
-            # side is really covered, or the interval removal would be unsound
-            bits = ye
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                if not lower_covered(ye ^ b):
-                    raise RuntimeError(
-                        f"unsound lower flag: a lower neighbour of {ye:#x} is uncovered"
-                    )
+            check_flag(r_lower, ye)
             lower_pruning(y, r_lower, on_event)
         if not y.upper_adjacent and not upper_covered(ye):
-            bits = full ^ ye
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                if not upper_covered(ye | b):
-                    raise RuntimeError(
-                        f"unsound upper flag: an upper neighbour of {ye:#x} is uncovered"
-                    )
+            check_flag(r_upper, ye)
             upper_pruning(y, r_upper, on_event)
         if not y.lower_adjacent and not y.upper_adjacent:
             del graph[ye]
@@ -278,13 +271,9 @@ def dfs(
     ]
     for node in live:
         if not node.lower_adjacent:
-            r_lower.update(node.element)
-            if on_event:
-                on_event({"event": "restrict", "side": "lower", "element": node.element})
+            lower_pruning(node, r_lower, on_event)
         if not node.upper_adjacent:
-            r_upper.update(node.element)
-            if on_event:
-                on_event({"event": "restrict", "side": "upper", "element": node.element})
+            upper_pruning(node, r_upper, on_event)
 
 
 def ucs_solve(
@@ -294,7 +283,6 @@ def ucs_solve(
     p_up: float = 0.5,
     node_budget: int | None = None,
     cost_target: float | None = None,
-    evaluator: CostEvaluator | None = None,
     on_event: EventCallback | None = None,
 ) -> SearchReport:
     """Solve the lattice minimization problem; optimal on chain-U-shaped costs.
@@ -304,50 +292,38 @@ def ucs_solve(
     checked before anything is evaluated.
     """
     check_p_up(p_up)
-    run = SolverRun("ucs", n, cost, node_budget, cost_target, evaluator)
+    run = SolverRun("ucs", n, cost, node_budget, cost_target)
     draw = random.Random(seed).random
     full = (1 << n) - 1
     r_lower = RestrictionSet(LOWER, n)
     r_upper = RestrictionSet(UPPER, n)
-    lower_covered = r_lower.covered
-    upper_covered = r_upper.covered
     dfs_calls = 0
     minmax_calls = 0
     with run as ev:
         while True:
-            going_up = draw() < p_up
             minmax_calls += 1
-            if going_up:
-                a = minimal_element(r_lower)
-                if a is None:
-                    break
-                blocked = upper_covered(a)
+            if draw() < p_up:
+                own, other, a = r_lower, r_upper, minimal_element(r_lower)
             else:
-                a = maximal_element(r_upper)
-                if a is None:
-                    break
-                blocked = lower_covered(a)
+                own, other, a = r_upper, r_lower, maximal_element(r_upper)
+            if a is None:
+                break
+            blocked = other.covered(a)
             if not blocked:
                 cost_a = ev.evaluate(a)
                 if on_event:
                     on_event({"event": "push", "element": a, "cost": cost_a})
             # a is the cursor's answer, so inserting it covers a alone
-            if going_up:
-                r_lower.insert_seed(a)
-                if on_event:
-                    on_event({"event": "restrict", "side": "lower", "element": a})
-            else:
-                r_upper.insert_seed(a)
-                if on_event:
-                    on_event({"event": "restrict", "side": "upper", "element": a})
+            own.insert_seed(a)
+            if on_event:
+                on_event({"event": "restrict", "side": own.orientation, "element": a})
             if blocked:
                 continue
             if ev.target_reached:
                 break
-            if going_up:
-                seed_node = Node(a, full ^ a, 0, full ^ a)
-            else:
-                seed_node = Node(a, a, a, 0)
+            # a's own side is gone: only its bits toward the other side are left
+            rest = a if own is r_upper else full ^ a
+            seed_node = Node(a, rest, rest & a, rest & ~a)
             seed_node.cost = cost_a
             dfs_calls += 1
             dfs(seed_node, r_lower, r_upper, ev, on_event)

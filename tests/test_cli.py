@@ -204,3 +204,44 @@ def test_solve_rejects_a_nan_cost_target(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cost target" in captured.err
+
+
+def test_generate_rejects_bad_input_before_making_the_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    for argv in (
+        ["--n", "0"],
+        ["--n", "0", "--kind", "mce-samples"],
+        ["--n", "5", "--kind", "mce-samples", "--rows", "0"],
+        ["--n", "5", "--weight-max", "0"],
+        ["--n", "5", "--kind", "mce-samples", "--noise", "7"],
+        ["--n", "5", "--kind", "mce-samples", "--noise", "-0.1"],
+        ["--n", "5", "--kind", "mce-samples", "--noise", "nan"],
+    ):
+        assert run(["generate", *argv, "--out", out]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
+        assert not out.exists(), argv
+
+
+def test_verify_rejects_fewer_than_one_chain(tmp_path, capsys):
+    # a noisy table that sampled verification does catch with enough chains
+    samples = tmp_path / "samples.txt"
+    save_samples(generate_sample_table(8, 40, 0, noise=0.4), samples)
+    assert run(["verify", "--samples", samples, "--mode", "sampled", "--chains", "300"]) == 1
+    assert "witness" in capsys.readouterr().out
+    for chains in ("-5", "0"):
+        assert run(["verify", "--samples", samples, "--mode", "sampled", "--chains", chains]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "chain" in captured.err
+
+
+def test_solve_rejects_a_negative_budget(tmp_path, capsys):
+    run(["generate", "--n", "5", "--count", "1", "--seed", "6", "--out", tmp_path])
+    instance = capsys.readouterr().out.strip()
+    for algorithm in ("ucs", "ubb", "sffs", "exhaustive", "ucurve-legacy"):
+        assert run(["solve", "--algorithm", algorithm, "--instance", instance, "--budget", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget" in captured.err

@@ -380,6 +380,13 @@ class TestVerifyDecomposable:
         assert z & ~y == 0 and y & ~x == 0
         assert fn(y) > max(fn(z), fn(x))
 
+    @pytest.mark.parametrize("chains", [-5, 0])
+    def test_sampled_needs_a_chain(self, chains):
+        # with no chain to check, a table with a hump once passed as U-shaped
+        inst = Instance(n=2, kind="explicit", costs=(0.0, 5.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="chain"):
+            verify_decomposable(inst, mode="sampled", chains=chains)
+
     def test_sampled_evaluates_each_distinct_mask_once(self, monkeypatch):
         import random
 
@@ -470,6 +477,11 @@ class TestGenerators:
         assert t1 == t2
         assert t1.t == 50
         assert all(0 <= x < 64 for x, _ in t1.rows)
+
+    @pytest.mark.parametrize("noise", [7.0, -0.1, 1.5, float("nan")])
+    def test_sample_table_rejects_noise_that_is_not_a_probability(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            generate_sample_table(6, 50, seed=3, noise=noise)
 
 
 class TestInstanceFiles:

@@ -309,7 +309,6 @@ class TestEntropyCostRuns:
 
 class TestCounterCrossCheck:
     def test_reported_nodes_match_raw_cost_invocations(self):
-        from ucurve.cost import CostEvaluator
         from ucurve.oracle import exhaustive_solve, legacy_ucurve_solve
         from ucurve.sffs import sffs_solve
         from ucurve.ubb import ubb_solve
@@ -318,11 +317,11 @@ class TestCounterCrossCheck:
         inst = generate_subset_sum_instance(7, 12)
         base = inst.cost_function()
         runners = [
-            lambda ev: ucs_solve(7, inst, seed=1, evaluator=ev),
-            lambda ev: ubb_solve(7, inst, evaluator=ev),
-            lambda ev: sffs_solve(7, inst, evaluator=ev),
-            lambda ev: exhaustive_solve(7, inst, evaluator=ev),
-            lambda ev: legacy_ucurve_solve(7, inst, seed=1, evaluator=ev),
+            lambda cost: ucs_solve(7, cost, seed=1),
+            lambda cost: ubb_solve(7, cost),
+            lambda cost: sffs_solve(7, cost),
+            lambda cost: exhaustive_solve(7, cost),
+            lambda cost: legacy_ucurve_solve(7, cost, seed=1),
         ]
         for runner in runners:
             calls = []
@@ -331,8 +330,7 @@ class TestCounterCrossCheck:
                 _calls.append(x)
                 return _base(x)
 
-            ev = CostEvaluator(counted, n=7)
-            report = runner(ev)
+            report = runner(counted)
             assert report.computed_nodes == len(calls) == len(set(calls))
 
 

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import unittest.mock
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ucurve.lattice
 from conftest import adjacent_elements, in_current_space
 from ucurve.lattice import (
     LOWER,
@@ -20,12 +22,24 @@ from ucurve.lattice import (
 )
 
 
-def lower_set(n, members, accelerate=None):
-    return RestrictionSet(LOWER, n, members, accelerate=accelerate)
+def restriction_set(orientation, n, members=(), bitmap=None):
+    """A RestrictionSet; bitmap=True or False forces the bitmap or the scan path.
+
+    ``_ACCEL_MAX_DEGREE``, read when a set is built, is the one seam that
+    picks the path.
+    """
+    if bitmap is None:
+        return RestrictionSet(orientation, n, members)
+    with unittest.mock.patch.object(ucurve.lattice, "_ACCEL_MAX_DEGREE", n if bitmap else 0):
+        return RestrictionSet(orientation, n, members)
 
 
-def upper_set(n, members, accelerate=None):
-    return RestrictionSet(UPPER, n, members, accelerate=accelerate)
+def lower_set(n, members, bitmap=None):
+    return restriction_set(LOWER, n, members, bitmap)
+
+
+def upper_set(n, members, bitmap=None):
+    return restriction_set(UPPER, n, members, bitmap)
 
 
 def brute_covers(orientation, members, x):
@@ -119,8 +133,8 @@ class TestCovers:
     def test_matches_brute_force_with_and_without_bitmap(self, n, orientation, data):
         full = full_set(n)
         members = data.draw(st.lists(st.integers(0, full), max_size=6))
-        fast = RestrictionSet(orientation, n, members, accelerate=True)
-        slow = RestrictionSet(orientation, n, members, accelerate=False)
+        fast = restriction_set(orientation, n, members, bitmap=True)
+        slow = restriction_set(orientation, n, members, bitmap=False)
         assert fast.members == slow.members
         for x in range(full + 1):
             expected = brute_covers(orientation, fast.members, x)
@@ -216,8 +230,8 @@ class TestBitmapAntichain:
     @settings(max_examples=200)
     def test_bitmap_tags_exactly_the_members(self, n, orientation, updates):
         full = full_set(n)
-        fast = RestrictionSet(orientation, n, accelerate=True)
-        slow = RestrictionSet(orientation, n, accelerate=False)
+        fast = restriction_set(orientation, n, bitmap=True)
+        slow = restriction_set(orientation, n, bitmap=False)
         for x in updates:
             fast.update(x & full)
             slow.update(x & full)
@@ -252,15 +266,15 @@ class TestBitmapAntichain:
         st.booleans(),
         st.lists(st.integers(min_value=0, max_value=255), max_size=10),
     )
-    def test_covered_agrees_with_covers(self, n, orientation, accelerate, updates):
+    def test_covered_agrees_with_covers(self, n, orientation, bitmap, updates):
         full = full_set(n)
-        r = RestrictionSet(orientation, n, [x & full for x in updates], accelerate=accelerate)
+        r = restriction_set(orientation, n, [x & full for x in updates], bitmap=bitmap)
         for x in range(full + 1):
             assert bool(r.covered(x)) is r.covers(x)
 
-    @pytest.mark.parametrize("accelerate", [True, False])
-    def test_covers_keeps_its_range_check(self, accelerate):
-        r = lower_set(4, [0b0110], accelerate=accelerate)
+    @pytest.mark.parametrize("bitmap", [True, False])
+    def test_covers_keeps_its_range_check(self, bitmap):
+        r = lower_set(4, [0b0110], bitmap=bitmap)
         for x in (-1, 1 << 4):
             with pytest.raises(ValueError):
                 r.covers(x)
@@ -284,11 +298,11 @@ class TestInsertSeed:
         ),
     )
     @settings(max_examples=300)
-    def test_same_state_as_update(self, n, orientation, accelerate, ops):
+    def test_same_state_as_update(self, n, orientation, bitmap, ops):
         full = full_set(n)
         extreme = minimal_element if orientation == LOWER else maximal_element
-        seeded = RestrictionSet(orientation, n, accelerate=accelerate)
-        plain = RestrictionSet(orientation, n, accelerate=accelerate)
+        seeded = restriction_set(orientation, n, bitmap=bitmap)
+        plain = restriction_set(orientation, n, bitmap=bitmap)
         for op, x in ops:
             if op == "update":
                 seeded.update(x & full)
@@ -303,10 +317,10 @@ class TestInsertSeed:
             assert seeded._cover == plain._cover
             assert seeded._cursor == plain._cursor
 
-    @pytest.mark.parametrize("accelerate", [True, False])
-    def test_covered_seed_raises(self, accelerate):
-        r = lower_set(3, [0b011], accelerate=accelerate)
-        u = upper_set(3, [0b100], accelerate=accelerate)
+    @pytest.mark.parametrize("bitmap", [True, False])
+    def test_covered_seed_raises(self, bitmap):
+        r = lower_set(3, [0b011], bitmap=bitmap)
+        u = upper_set(3, [0b100], bitmap=bitmap)
         for rs, x in ((r, 0b001), (r, 0b011), (u, 0b110), (u, 0b100)):
             before = (rs.members, bytes(rs._cover or b""))
             with pytest.raises(RuntimeError, match="covered already"):

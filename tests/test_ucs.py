@@ -227,13 +227,15 @@ class TestDfs:
         if not bitmap:
             monkeypatch.setattr(ucurve.lattice, "_ACCEL_MAX_DEGREE", 0)
         pushed, killed, expanded_dead, flushed_dead = set(), set(), [], []
-        pruning, kills = [], 0
+        kills = 0
 
         def watch_pruning(prune):
+            # the end-of-search flush restricts through these calls too, so a
+            # dead node handed to one was flushed (or pruned) after its death
             def watched(y, r, on_event=None):
-                pruning.append(y)
+                if y.element in killed:
+                    flushed_dead.append(y.element)
                 prune(y, r, on_event)
-                pruning.pop()
                 killed.update(e for e in pushed if r.covered(e) == 1)
 
             return watched
@@ -246,8 +248,6 @@ class TestDfs:
         def on_event(event):
             if event["event"] == "push":
                 pushed.add(event["element"])
-            elif event["event"] == "restrict" and not pruning and event["element"] in killed:
-                flushed_dead.append(event["element"])
 
         select = ucurve.ucs.select_unvisited_adjacent
         monkeypatch.setattr(ucurve.ucs, "select_unvisited_adjacent", watch_select)
@@ -287,11 +287,16 @@ class TestSelectDirection:
         + [pytest.param(legacy_ucurve_solve, p_up, id=f"legacy-{p_up}") for p_up in BAD_P_UPS],
     )
     def test_solver_rejects_p_up_before_evaluating(self, solve, p_up):
-        inst = generate_subset_sum_instance(5, 3)
-        ev = CostEvaluator(inst, n=5)
+        fn = generate_subset_sum_instance(5, 3).cost_function()
+        evaluated = []
+
+        def counted(x):
+            evaluated.append(x)
+            return fn(x)
+
         with pytest.raises(ValueError, match="p_up"):
-            solve(5, inst, p_up=p_up, evaluator=ev)
-        assert ev.memo == {}
+            solve(5, counted, p_up=p_up)
+        assert evaluated == []
 
 
 class TestUcsSolve:
@@ -354,17 +359,21 @@ class TestUcsSolve:
 
     def test_every_evaluated_element_is_collected(self):
         # every element the solver evaluated was pushed, and the memo holds them all
-        inst = generate_subset_sum_instance(7, 3)
-        ev = CostEvaluator(inst)
+        fn = generate_subset_sum_instance(7, 3).cost_function()
+        evaluated = []
         minima_seen = set()
+
+        def counted(x):
+            evaluated.append(x)
+            return fn(x)
 
         def observer(event):
             if event["event"] == "push":
                 minima_seen.add(event["element"])
 
-        report = ucs_solve(7, inst, seed=2, evaluator=ev, on_event=observer)
-        assert minima_seen == set(ev.memo)
-        assert report.computed_nodes == len(ev.memo)
+        report = ucs_solve(7, counted, seed=2, on_event=observer)
+        assert minima_seen == set(evaluated)
+        assert report.computed_nodes == len(evaluated) == len(set(evaluated))
 
     @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=999))
     @settings(max_examples=40, deadline=None)
