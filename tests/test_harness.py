@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from ucurve import harness
+from ucurve.cli import main
 from ucurve.cost import generate_subset_sum_instance
 from ucurve.harness import (
     ExperimentConfig,
@@ -264,6 +265,109 @@ class TestEmission:
         assert [p.name for p in paths] == list(digests)
         assert sorted(written) == sorted(digests)
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in paths} == digests
+
+    @pytest.mark.parametrize(
+        "case, digests",
+        [
+            pytest.param(
+                {"mode": "optimal"},
+                {
+                    "instances_manifest.json": "57ab4f75e8526c6d",
+                    "optimal.csv": "1c38eecd708771d0",
+                    "optimal.json": "a39955b16d44d6e2",
+                },
+                id="optimal-subset_sum",
+            ),
+            pytest.param(
+                {"mode": "optimal", "cost_kind": "mce", "sample_rows": 60},
+                {
+                    "instances_manifest.json": "1af1b91e96a3496d",
+                    "optimal.csv": "1a56568bb10ec4e2",
+                    "optimal.json": "77995d329fc2819f",
+                },
+                id="optimal-mce",
+            ),
+            pytest.param(
+                {"mode": "dynamics", "algorithms": ["ucs"]},
+                {
+                    "dynamics.csv": "1cf0d52618585065",
+                    "dynamics.json": "d363effa05c2742a",
+                    "instances_manifest.json": "57ab4f75e8526c6d",
+                },
+                id="dynamics",
+            ),
+            pytest.param(
+                {"mode": "suboptimal", "instances_per_size": 1},
+                {
+                    "instances_manifest.json": "a98868900fb309b9",
+                    "suboptimal_results.csv": "b89b22227def26ef",
+                    "suboptimal_results.json": "2aad0c5e7c0c7791",
+                    "suboptimal_thresholds.csv": "3b9b12dff854b7c1",
+                    "suboptimal_thresholds.json": "5310d566ab5d66fa",
+                },
+                id="suboptimal-mean-1",
+            ),
+            pytest.param(
+                {"mode": "suboptimal"},
+                {
+                    "instances_manifest.json": "57ab4f75e8526c6d",
+                    "suboptimal_results.csv": "292096b924d480a0",
+                    "suboptimal_results.json": "199b64f6888174f5",
+                    "suboptimal_thresholds.csv": "8c68f0285cbcb7ae",
+                    "suboptimal_thresholds.json": "aee2264707a6937f",
+                },
+                id="suboptimal-mean-3",
+            ),
+            pytest.param(
+                {"mode": "suboptimal", "threshold_scope": "per-instance", "instances_per_size": 1},
+                {
+                    "instances_manifest.json": "a98868900fb309b9",
+                    "suboptimal_results.csv": "d9a3ef67e571f5ae",
+                    "suboptimal_results.json": "72ba9c8cba477b44",
+                    "suboptimal_thresholds.csv": "08f056ddfe33225e",
+                    "suboptimal_thresholds.json": "d7937299745984c9",
+                },
+                id="suboptimal-per-instance-1",
+            ),
+            pytest.param(
+                {"mode": "suboptimal", "threshold_scope": "per-instance"},
+                {
+                    "instances_manifest.json": "57ab4f75e8526c6d",
+                    "suboptimal_results.csv": "9f2594c99111a350",
+                    "suboptimal_results.json": "87d4beee93f70d48",
+                    "suboptimal_thresholds.csv": "1bc3b48919225502",
+                    "suboptimal_thresholds.json": "cb08eb9244af56fd",
+                },
+                id="suboptimal-per-instance-3",
+            ),
+            pytest.param(
+                ["generate", "--kind", "subset-sum", "--n", "6", "--count", "2", "--seed", "4"],
+                {
+                    "n06_i000.json": "3febb0be3feb7e14",
+                    "n06_i001.json": "6923395d1094254b",
+                },
+                id="generate-subset-sum",
+            ),
+            pytest.param(
+                ["generate", "--kind", "mce-samples", "--n", "6", "--count", "2", "--seed", "4", "--rows", "30"],
+                {
+                    "n06_i000.txt": "c7c3596e3bd56377",
+                    "n06_i001.txt": "e126cbac031bf806",
+                },
+                id="generate-mce-samples",
+            ),
+        ],
+    )
+    def test_outputs_match_pinned_digests(self, tmp_path, capsys, case, digests):
+        # a config is run through run_benchmark, a list through the command line;
+        # the instance manifest pins every instance file's bytes
+        if isinstance(case, list):
+            assert main([*case, "--out", str(tmp_path)]) == 0
+            capsys.readouterr()
+        else:
+            run_benchmark(small_config(**dict({"instances_per_size": 3}, **case)), tmp_path)
+        files = sorted(p for p in tmp_path.iterdir() if p.is_file())
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in files} == digests
 
     def test_time_columns_present_only_when_asked(self, tmp_path):
         timed = ExperimentConfig(sizes=[4], instances_per_size=2, seed=1, include_times=True)
