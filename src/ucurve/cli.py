@@ -13,15 +13,8 @@ import sys
 from pathlib import Path
 
 from . import cost as costmod
-from .cost import (
-    load_instance,
-    load_samples,
-    mce_instance,
-    save_instance,
-    save_samples,
-    verify_decomposable,
-)
-from .harness import ALGORITHMS, ExperimentConfig, derive_seed, run_benchmark, run_solver
+from .cost import load_instance, load_samples, mce_instance, save_instance, verify_decomposable
+from .harness import ALGORITHMS, ExperimentConfig, run_benchmark, run_solver, seeded_instances
 from .lattice import render_element
 from .oracle import find_counterexample
 
@@ -113,21 +106,15 @@ def _load_cost_input(instance_path: Path | None, samples_path: Path | None):
 def cmd_generate(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    kind = costmod.SUBSET_SUM if args.kind == "subset-sum" else costmod.MCE
     # generate everything first: a bad input raises before the directory exists
-    outputs = []
-    for idx in range(args.count):
-        seed = derive_seed(args.seed, "instance", args.n, idx)
-        stem = f"n{args.n:02d}_i{idx:03d}"
-        if args.kind == "subset-sum":
-            instance = costmod.generate_subset_sum_instance(args.n, seed, args.weight_max)
-            outputs.append((save_instance, instance, args.out / f"{stem}.json"))
-        else:
-            table = costmod.generate_sample_table(args.n, args.rows, seed, noise=args.noise)
-            outputs.append((save_samples, table, args.out / f"{stem}.txt"))
+    outputs = seeded_instances(
+        kind, args.n, args.count, args.seed, args.weight_max, args.rows, args.noise
+    )
     args.out.mkdir(parents=True, exist_ok=True)
-    for save, made, path in outputs:
-        save(made, path)
-        print(path)
+    for name, save, value in outputs:
+        save(value, args.out / name)
+        print(args.out / name)
     return EXIT_OK
 
 

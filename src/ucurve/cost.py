@@ -518,9 +518,15 @@ def generate_decomposable_explicit(
     construction. Integer weights leave exact plateaus, the landscape class
     where the uncorrected search loses minima. Optional uniform noise
     reshapes the plateaus; noisy candidates are rejected and redrawn until
-    the chain shape verifies (noise=0 always passes).
+    the chain shape verifies (noise=0 always passes). A negative weight_max,
+    a negative or non-finite noise, and a noise so large that max_attempts
+    draws all fail raise ValueError.
     """
     check_degree(n)
+    if weight_max < 0:
+        raise ValueError(f"weight_max must not be negative, got {weight_max}")
+    if not (noise >= 0 and math.isfinite(noise)):
+        raise ValueError(f"noise must be finite and not negative, got {noise}")
     rng = random.Random(seed)
     size = 1 << n
     for _ in range(max_attempts):
@@ -544,7 +550,9 @@ def generate_decomposable_explicit(
         instance = Instance(n=n, kind=EXPLICIT, costs=costs)
         if verify_decomposable(instance) is None:
             return instance
-    raise RuntimeError(f"no decomposable candidate in {max_attempts} attempts")
+    raise ValueError(
+        f"no decomposable candidate in {max_attempts} attempts: noise {noise} is too large"
+    )
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:

@@ -141,6 +141,8 @@ class ExperimentConfig(Record):
         unknown = set(payload) - set(cls.__slots__)
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+        if "sizes" not in payload:
+            raise ValueError(f"{path}: config lacks the required key 'sizes'")
         return cls(**payload)
 
 
@@ -174,6 +176,37 @@ def _check_algorithm(name) -> None:
 # instance materialization
 
 
+def seeded_instances(
+    cost_kind: str,
+    size: int,
+    count: int,
+    seed: int,
+    weight_max: int,
+    sample_rows: int,
+    noise: float = 0.1,
+) -> list[tuple[str, Callable[[object, Path], None], object]]:
+    """Build count seeded instances of one size, each as (file name, save, value).
+
+    save(value, path) writes the file: instance JSON for subset_sum (from
+    weight_max), a sample table for mce (from sample_rows and noise, whose
+    default is generate_sample_table's). Instance idx is seeded by
+    derive_seed(seed, "instance", size, idx), so the protocols and
+    `ucurve generate` write the same files. Nothing is written here, so a
+    bad input raises before a caller creates any file.
+    """
+    built = []
+    for idx in range(count):
+        instance_seed = derive_seed(seed, "instance", size, idx)
+        if cost_kind == costmod.SUBSET_SUM:
+            value = costmod.generate_subset_sum_instance(size, instance_seed, weight_max)
+            save = save_instance
+        else:
+            value = costmod.generate_sample_table(size, sample_rows, instance_seed, noise=noise)
+            save = save_samples
+        built.append((_instance_name(cost_kind, size, idx), save, value))
+    return built
+
+
 def prepare_instances(config: ExperimentConfig, workdir: str | Path) -> dict[str, str]:
     """Write one file per (size, index) instance plus a sha256 manifest.
 
@@ -185,26 +218,24 @@ def prepare_instances(config: ExperimentConfig, workdir: str | Path) -> dict[str
     instance_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict[str, str] = {}
     for size in config.sizes:
-        for idx in range(config.instances_per_size):
-            seed = derive_seed(config.seed, "instance", size, idx)
-            name = _instance_name(config, size, idx)
+        for name, save, value in seeded_instances(
+            config.cost_kind,
+            size,
+            config.instances_per_size,
+            config.seed,
+            config.weight_max,
+            config.sample_rows,
+        ):
             path = instance_dir / name
-            if config.cost_kind == costmod.SUBSET_SUM:
-                save_instance(
-                    costmod.generate_subset_sum_instance(size, seed, config.weight_max), path
-                )
-            else:
-                save_samples(
-                    costmod.generate_sample_table(size, config.sample_rows, seed), path
-                )
+            save(value, path)
             manifest[name] = hashlib.sha256(path.read_bytes()).hexdigest()
     manifest_path = root / "instances_manifest.json"
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return manifest
 
 
-def _instance_name(config: ExperimentConfig, size: int, idx: int) -> str:
-    suffix = "json" if config.cost_kind == costmod.SUBSET_SUM else "txt"
+def _instance_name(cost_kind: str, size: int, idx: int) -> str:
+    suffix = "json" if cost_kind == costmod.SUBSET_SUM else "txt"
     return f"n{size:02d}_i{idx:03d}.{suffix}"
 
 
@@ -277,12 +308,13 @@ def _tasks_for(
     manifest: dict[str, str],
     algorithms: Sequence[str],
     step: str,
-    budgets: Callable[[int, int, str], dict] | None = None,
+    budgets: dict[tuple[int, int], dict] | None = None,
 ) -> list[dict]:
+    """One task per (size, index, algorithm); budgets adds stop criteria per instance."""
     tasks = []
     for size in config.sizes:
         for idx in range(config.instances_per_size):
-            name = _instance_name(config, size, idx)
+            name = _instance_name(config.cost_kind, size, idx)
             for alg in algorithms:
                 task = {
                     "key": (size, idx, alg),
@@ -293,7 +325,7 @@ def _tasks_for(
                     "p_up": config.p_up,
                 }
                 if budgets:
-                    task.update(budgets(size, idx, alg))
+                    task.update(budgets[(size, idx)])
                 tasks.append(task)
     return tasks
 
@@ -302,53 +334,45 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def _best_counts(
-    config: ExperimentConfig,
-    results: dict[tuple, SearchReport],
-    algorithms: Sequence[str],
-    size: int,
-) -> dict[str, int]:
-    """Per algorithm, how many instances it matched the best cost found by any of them."""
-    counts = {alg: 0 for alg in algorithms}
-    for idx in range(config.instances_per_size):
-        costs = {
-            alg: results[(size, idx, alg)].best_cost
-            if results[(size, idx, alg)].best_cost is not None
-            else math.inf
-            for alg in algorithms
-        }
-        best = min(costs.values())
-        for alg in algorithms:
-            if costs[alg] == best:
-                counts[alg] += 1
-    return counts
-
-
 def _comparison_rows(
     config: ExperimentConfig,
     results: dict[tuple, SearchReport],
     algorithms: Sequence[str],
-    extra: Callable[[int, str], dict] | None = None,
+    extra: dict[int, dict] | None = None,
 ) -> list[dict]:
+    """One row per (size, algorithm), its keys in the report's column order.
+
+    best_solution_count counts the instances where the algorithm matched
+    the least best cost any of the algorithms found; a run that found no
+    subset (best cost None) counts as inf. extra holds a size's further
+    columns (threshold or witness_rate); the time columns come last.
+    """
     rows = []
     for size in config.sizes:
-        counts = _best_counts(config, results, algorithms, size)
-        for alg in algorithms:
-            reports = [results[(size, idx, alg)] for idx in range(config.instances_per_size)]
+        runs = {
+            alg: [results[(size, idx, alg)] for idx in range(config.instances_per_size)]
+            for alg in algorithms
+        }
+        costs = {
+            alg: [math.inf if r.best_cost is None else r.best_cost for r in reports]
+            for alg, reports in runs.items()
+        }
+        best = [min(instance_costs) for instance_costs in zip(*costs.values())]
+        for alg, reports in runs.items():
             row = {
                 "n": size,
                 "algorithm": alg,
                 "instances": len(reports),
+                "best_solution_count": sum(c == b for c, b in zip(costs[alg], best)),
                 "mean_computed_nodes": _mean([r.computed_nodes for r in reports]),
-                "best_solution_count": counts[alg],
             }
+            if extra:
+                row.update(extra[size])
             if config.include_times:
                 mean_time = _mean([r.wall_time for r in reports])
                 row["mean_time_sec"] = mean_time
                 row["mean_time_in_cost_sec"] = _mean([r.time_in_cost for r in reports])
                 row["log2_mean_time_sec"] = math.log2(mean_time) if mean_time > 0 else None
-            if extra:
-                row.update(extra(size, alg))
             rows.append(row)
     return rows
 
@@ -363,7 +387,7 @@ def _witness_rates(config: ExperimentConfig, workdir: Path, manifest: dict[str, 
     for size in config.sizes:
         witnesses = 0
         for idx in range(config.instances_per_size):
-            name = _instance_name(config, size, idx)
+            name = _instance_name(config.cost_kind, size, idx)
             instance = load_instance_checked(workdir / "instances" / name, manifest[name])
             seed = derive_seed(config.seed, "witness", size, idx)
             if costmod.verify_decomposable(instance, mode="sampled", chains=200, seed=seed):
@@ -381,131 +405,80 @@ def run_optimal(config: ExperimentConfig, workdir: str | Path) -> list[dict]:
     extra = None
     if config.cost_kind == costmod.MCE:
         rates = _witness_rates(config, workdir, manifest)
-
-        def extra(size, alg):
-            return {"witness_rate": rates[size]}
-
+        extra = {size: {"witness_rate": rate} for size, rate in rates.items()}
     return _comparison_rows(config, results, config.algorithms, extra)
 
 
 def run_suboptimal(config: ExperimentConfig, workdir: str | Path) -> tuple[list[dict], list[dict]]:
     """Three-step budgeted protocol over one shared instance set.
 
-    Step 1 runs the floating heuristic unbudgeted; its best costs set the
-    cost thresholds (mean per size, or per instance). Step 2 runs the two
-    optimal solvers with that cost target and records their node counts;
-    the node threshold is the ceiling of the greatest mean (or per-instance
-    count) across all three algorithms. Step 3 reruns all three with the
-    node threshold as the budget and tabulates like the optimal protocol.
+    The thresholds are set per group of instances: each (size, index) for
+    threshold_scope "per-instance", each size for "mean". Step 1 runs the
+    floating heuristic unbudgeted; its best costs, averaged over a mean
+    group, set the group's cost target. Step 2 runs the two optimal solvers
+    with that target; the node threshold is the ceiling of the greatest
+    node count across all three algorithms, each averaged over a mean
+    group. Step 3 reruns all three with the node threshold as the budget
+    and tabulates like the optimal protocol, with a threshold column in
+    mean scope. It runs ucs, ubb and sffs, whatever config.algorithms says.
     """
     workdir = Path(workdir)
     manifest = prepare_instances(config, workdir)
     per_instance = config.threshold_scope == "per-instance"
-
-    step1 = _run_all(_tasks_for(config, workdir, manifest, ["sffs"], "step1"), config.jobs)
-
-    if per_instance:
-        cost_threshold = {
-            (size, idx): step1[(size, idx, "sffs")].best_cost
-            for size in config.sizes
-            for idx in range(config.instances_per_size)
-        }
-    else:
-        cost_threshold = {}
-        for size in config.sizes:
-            costs = [step1[(size, idx, "sffs")].best_cost for idx in range(config.instances_per_size)]
-            for idx in range(config.instances_per_size):
-                cost_threshold[(size, idx)] = _mean(costs)
-
-    def step2_budget(size: int, idx: int, alg: str) -> dict:
-        return {"cost_target": cost_threshold[(size, idx)]}
-
-    step2 = _run_all(
-        _tasks_for(config, workdir, manifest, ["ucs", "ubb"], "step2", step2_budget),
-        config.jobs,
-    )
-
-    threshold_rows: list[dict] = []
-    node_threshold: dict[tuple[int, int], int] = {}
+    groups: dict[tuple, list[tuple[int, int]]] = {}
     for size in config.sizes:
-        if per_instance:
-            for idx in range(config.instances_per_size):
-                nodes = {
-                    "ucs": step2[(size, idx, "ucs")].computed_nodes,
-                    "ubb": step2[(size, idx, "ubb")].computed_nodes,
-                    "sffs": step1[(size, idx, "sffs")].computed_nodes,
-                }
-                limit = math.ceil(max(nodes.values()))
-                node_threshold[(size, idx)] = limit
-                threshold_rows.append(
-                    {
-                        "n": size,
-                        "instance": idx,
-                        "ucs_nodes": nodes["ucs"],
-                        "ubb_nodes": nodes["ubb"],
-                        "sffs_nodes": nodes["sffs"],
-                        "threshold": limit,
-                    }
-                )
-        else:
-            nodes = {
-                alg: _mean(
-                    [
-                        (step2 if alg != "sffs" else step1)[(size, idx, alg)].computed_nodes
-                        for idx in range(config.instances_per_size)
-                    ]
-                )
-                for alg in ("ucs", "ubb", "sffs")
-            }
-            limit = math.ceil(max(nodes.values()))
-            for idx in range(config.instances_per_size):
-                node_threshold[(size, idx)] = limit
-            threshold_rows.append(
-                {
-                    "n": size,
-                    "ucs_nodes": nodes["ucs"],
-                    "ubb_nodes": nodes["ubb"],
-                    "sffs_nodes": nodes["sffs"],
-                    "threshold": limit,
-                }
-            )
+        for idx in range(config.instances_per_size):
+            groups.setdefault((size, idx) if per_instance else (size,), []).append((size, idx))
+    # a per-instance value stays as it is: an int node count stays an int
+    collapse = (lambda values: values[0]) if per_instance else _mean
+
+    runs = _run_all(_tasks_for(config, workdir, manifest, ["sffs"], "step1"), config.jobs)
+    cost_targets = {}
+    for members in groups.values():
+        target = collapse([runs[(size, idx, "sffs")].best_cost for size, idx in members])
+        cost_targets.update(dict.fromkeys(members, {"cost_target": target}))
+    step2 = _tasks_for(config, workdir, manifest, ["ucs", "ubb"], "step2", cost_targets)
+    runs.update(_run_all(step2, config.jobs))
+
+    step3_algs = ["ucs", "ubb", "sffs"]
+    threshold_rows: list[dict] = []
+    node_budgets: dict[tuple[int, int], dict] = {}
+    threshold_column: dict[int, dict] = {}
+    for key, members in groups.items():
+        # key (size,) gives the column n, key (size, idx) also gives instance
+        row = dict(zip(("n", "instance"), key))
+        for alg in step3_algs:
+            nodes = [runs[(size, idx, alg)].computed_nodes for size, idx in members]
+            row[f"{alg}_nodes"] = collapse(nodes)
+        limit = math.ceil(max(row[f"{alg}_nodes"] for alg in step3_algs))
+        row["threshold"] = limit
+        threshold_rows.append(row)
+        node_budgets.update(dict.fromkeys(members, {"node_budget": limit}))
+        if not per_instance:
+            threshold_column[key[0]] = {"threshold": limit}
 
     # thresholds land on disk before step 3 runs, so an aborted step still
     # leaves the pre-processing results behind
-    for fmt in _REPORT_FORMATS:
-        emit_report(
-            threshold_rows,
-            report_columns(config, "thresholds"),
-            workdir / f"suboptimal_thresholds.{fmt}",
-            fmt,
-        )
+    _write_table(threshold_rows, workdir, "suboptimal_thresholds")
 
-    def step3_budget(size: int, idx: int, alg: str) -> dict:
-        return {"node_budget": node_threshold[(size, idx)]}
-
-    step3_algs = ["ucs", "ubb", "sffs"]
     step3 = _run_all(
-        _tasks_for(config, workdir, manifest, step3_algs, "step3", step3_budget),
-        config.jobs,
+        _tasks_for(config, workdir, manifest, step3_algs, "step3", node_budgets), config.jobs
     )
     for (size, idx, alg), report in step3.items():
-        limit = node_threshold[(size, idx)]
+        limit = node_budgets[(size, idx)]["node_budget"]
         if report.computed_nodes > limit:
             raise RuntimeError(
                 f"budget contract violated: {alg} computed {report.computed_nodes} > {limit}"
             )
-
-    def extra(size: int, alg: str) -> dict:
-        if per_instance:
-            return {}
-        return {"threshold": node_threshold[(size, 0)]}
-
-    result_rows = _comparison_rows(config, step3, step3_algs, extra)
-    return threshold_rows, result_rows
+    return threshold_rows, _comparison_rows(config, step3, step3_algs, threshold_column)
 
 
 def dynamics_profile(config: ExperimentConfig, workdir: str | Path) -> list[dict]:
-    """Main-loop iteration accounting: how rarely an iteration yields a DFS."""
+    """Main-loop iteration accounting: how rarely an iteration yields a DFS.
+
+    One row per size, its keys in the report's column order. It runs ucs
+    alone, whatever config.algorithms says.
+    """
     workdir = Path(workdir)
     manifest = prepare_instances(config, workdir)
     tasks = _tasks_for(config, workdir, manifest, ["ucs"], "dynamics")
@@ -582,46 +555,23 @@ def emit_report(rows: list[dict], columns: Sequence[str], path: str | Path, fmt:
         raise ValueError(f"unknown report format {fmt!r}")
 
 
-def report_columns(config: ExperimentConfig, table: str) -> list[str]:
-    if table == "comparison":
-        columns = ["n", "algorithm", "instances", "best_solution_count", "mean_computed_nodes"]
-        if config.mode == SUBOPTIMAL and config.threshold_scope == "mean":
-            columns.append("threshold")
-        if config.mode == OPTIMAL and config.cost_kind == costmod.MCE:
-            columns.append("witness_rate")
-        if config.include_times:
-            columns += ["mean_time_sec", "mean_time_in_cost_sec", "log2_mean_time_sec"]
-        return columns
-    if table == "thresholds":
-        columns = ["n"]
-        if config.threshold_scope == "per-instance":
-            columns.append("instance")
-        return columns + ["ucs_nodes", "ubb_nodes", "sffs_nodes", "threshold"]
-    if table == "dynamics":
-        return ["n", "instances", "mean_dfs_calls", "mean_minmax_calls", "ratio"]
-    raise ValueError(f"unknown table {table!r}")
+def _write_table(rows: list[dict], outdir: Path, stem: str) -> list[Path]:
+    """Write rows as <stem>.csv and <stem>.json; the first row's keys are the columns."""
+    paths = [outdir / f"{stem}.{fmt}" for fmt in _REPORT_FORMATS]
+    for path, fmt in zip(paths, _REPORT_FORMATS):
+        emit_report(rows, list(rows[0]), path, fmt)
+    return paths
 
 
 def run_benchmark(config: ExperimentConfig, outdir: str | Path) -> list[Path]:
     """Run the configured protocol end-to-end, writing CSV and JSON reports."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def emit(rows: list[dict], table: str, stem: str) -> None:
-        columns = report_columns(config, table)
-        for fmt in _REPORT_FORMATS:
-            path = outdir / f"{stem}.{fmt}"
-            emit_report(rows, columns, path, fmt)
-            written.append(path)
-
     if config.mode == OPTIMAL:
-        emit(run_optimal(config, outdir), "comparison", "optimal")
-    elif config.mode == SUBOPTIMAL:
+        return _write_table(run_optimal(config, outdir), outdir, "optimal")
+    if config.mode == SUBOPTIMAL:
         # run_suboptimal has written the thresholds itself, before its step 3
         _, results = run_suboptimal(config, outdir)
-        written += [outdir / f"suboptimal_thresholds.{fmt}" for fmt in _REPORT_FORMATS]
-        emit(results, "comparison", "suboptimal_results")
-    else:
-        emit(dynamics_profile(config, outdir), "dynamics", "dynamics")
-    return written
+        thresholds = [outdir / f"suboptimal_thresholds.{fmt}" for fmt in _REPORT_FORMATS]
+        return thresholds + _write_table(results, outdir, "suboptimal_results")
+    return _write_table(dynamics_profile(config, outdir), outdir, "dynamics")

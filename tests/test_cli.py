@@ -245,3 +245,25 @@ def test_solve_rejects_a_negative_budget(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "budget" in captured.err
+
+
+def test_bench_rejects_a_config_without_sizes(tmp_path, capsys):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"instances_per_size": 2}))
+    outdir = tmp_path / "results"
+    assert run(["bench", "--config", cfg, "--out", outdir]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'sizes'" in captured.err
+    assert not outdir.exists()
+
+
+def test_find_counterexample_rejects_a_bad_noise(tmp_path, capsys):
+    out = tmp_path / "fixture.json"
+    for noise in ("7", "-1", "nan"):
+        argv = ["find-counterexample", "--n", "5", "--trials", "50", "--seed", "1", "--noise", noise]
+        assert run([*argv, "--out", out]) == 3, noise
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "noise" in captured.err, noise
+        assert not out.exists(), noise

@@ -471,6 +471,20 @@ class TestGenerators:
         assert verify_decomposable(a) is None
         assert brute_decomposable(a)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            pytest.param({"noise": -1.0}, "noise", id="negative-noise"),
+            pytest.param({"noise": float("nan")}, "noise", id="nan-noise"),
+            pytest.param({"noise": float("inf")}, "noise", id="inf-noise"),
+            pytest.param({"weight_max": -1}, "weight_max", id="negative-weight_max"),
+            pytest.param({"noise": 7.0, "max_attempts": 20}, "too large", id="noise-too-large"),
+        ],
+    )
+    def test_explicit_generator_rejects_bad_input(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            generate_decomposable_explicit(5, 1, **kwargs)
+
     def test_sample_table_generator(self):
         t1 = generate_sample_table(6, 50, seed=3)
         t2 = generate_sample_table(6, 50, seed=3)
