@@ -6,8 +6,9 @@ characteristic vector puts feature 0 in the leftmost character, so
 ``"1110"`` is the mask 0b0111. All solvers share this encoding.
 
 The module provides the textual form, restriction antichains with
-interval coverage tests, and extraction of minimal/maximal elements of the
-remaining search space.
+interval coverage tests, extraction of minimal/maximal elements of the
+remaining search space, and the test for when nothing is left to search
+but blocked inserts.
 """
 
 from __future__ import annotations
@@ -179,8 +180,11 @@ class RestrictionSet:
         would lie inside a covered neighbour of x, so inside some other
         member. So x is tagged 2 and each tag-2 neighbour is demoted and
         dropped; the result is what ``update(x)`` leaves. Raises
+        ValueError, before anything is written, if x is out of range, and
         RuntimeError if x is covered already.
         """
+        if x < 0 or x >> self.n:
+            raise ValueError(f"element {x} out of range for degree {self.n}")
         cover = self._cover
         if cover is None:
             if self._scan(x):
@@ -277,7 +281,9 @@ def minimal_element(r_lower: RestrictionSet) -> int | None:
     instead. Coverage only ever grows, so every mask the cursor has passed
     stays covered and the first uncovered mask never lies behind it: the
     answer is the same element, and a whole run of queries costs O(2**n)
-    steps in total rather than O(n) lookups per query. A step is a
+    steps in total rather than O(n) lookups per query. The invariant,
+    which ``blocked_tail`` relies on, is that every mask before the cursor
+    in bit-reversed order is covered. A step is a
     bit-reversed increment, which clears the run of set bits at the top and
     sets the highest clear bit h below it. With
     ``h = 1 << ((full ^ x).bit_length() - 1)`` that is
@@ -313,7 +319,8 @@ def maximal_element(r_upper: RestrictionSet) -> int | None:
     """Dual of minimal_element over the space left by r_upper.
 
     The answer is the last uncovered mask in bit-reversed order; the cursor
-    steps backward from the full set with bit-reversed decrements. A
+    steps backward from the full set with bit-reversed decrements, and
+    every mask after the cursor in that order is covered. A
     decrement sets the run of clear bits at the top and clears the highest
     set bit h below it: with h = 1 << (x.bit_length() - 1), that is
     ``x = (x & (h - 1)) | (full ^ ((h << 1) - 1))``.
@@ -342,3 +349,28 @@ def maximal_element(r_upper: RestrictionSet) -> int | None:
             if not covered(candidate):
                 x = candidate
     return x
+
+
+def blocked_tail(r_lower: RestrictionSet, r_upper: RestrictionSet) -> tuple[int, int] | None:
+    """The counts of masks left uncovered by r_lower and by r_upper, once
+    every mask is covered by one of them; None before that.
+
+    The cursors of minimal_element and maximal_element tell, without a
+    scan, when that point is reached. Every mask before the lower cursor in
+    bit-reversed order is lower-covered and every mask after the upper
+    cursor is upper-covered, so once the lower cursor lies after the upper
+    one, every mask is covered on some side. Bit-reversed order compares
+    the lowest differing bit first, so the lower cursor lies after the upper
+    one iff it holds their lowest differing bit. The crossing is
+    sufficient, not necessary: every mask may be covered some cursor steps
+    before the cursors cross. From then on a minimal (maximal) element is
+    covered on the other side, and its insert covers that mask alone.
+    Without a bitmap there are no cursors, and the answer is None.
+    """
+    if r_lower._cover is None:
+        return None
+    lo = r_lower._cursor
+    d = lo ^ r_upper._cursor
+    if not lo & d & -d:
+        return None
+    return r_lower._cover.count(0), r_upper._cover.count(0)

@@ -30,10 +30,17 @@ tags never go back. The DFS pops dead nodes when they reach its stack top.
 
 A is minimal (maximal), so the rest of its interval is gone already and
 its removal covers A alone: RestrictionSet.insert_seed does it without a
-walk. Most iterations of a run are blocked, A already being covered on the
+walk. Many iterations of a run are blocked, A already being covered on the
 opposite side, and evaluate nothing; that insert, the cursor step of
 minimal_element/maximal_element and the direction draw are the part of a
-run's cost that does not grow with the nodes it evaluates.
+run's cost that does not grow with the nodes it evaluates. Blocked
+iterations are walked only until the two cursors cross
+(lattice.blocked_tail): from then on every mask is covered on some side,
+each further iteration is a blocked insert that covers one mask on its
+side, and the run ends at the first draw on a side with nothing left. An
+untraced run therefore counts the rest of its iterations off the draws
+and the per-side counts of uncovered masks; a traced run walks them, since
+each one is a restrict event.
 
 A run never shares state. Each node reads its cost from the evaluator
 once, when it is pushed (a DFS seed when the main loop picks it), and the
@@ -52,7 +59,14 @@ import random
 from typing import Callable
 
 from .cost import CostEvaluator, Instance
-from .lattice import LOWER, UPPER, RestrictionSet, maximal_element, minimal_element
+from .lattice import (
+    LOWER,
+    UPPER,
+    RestrictionSet,
+    blocked_tail,
+    maximal_element,
+    minimal_element,
+)
 from .report import SearchReport, SolverRun
 
 EventCallback = Callable[[dict], None]
@@ -276,6 +290,28 @@ def dfs(
             upper_pruning(node, r_upper, on_event)
 
 
+def tail_iterations(
+    draw: Callable[[], float], p_up: float, left_lower: int, left_upper: int
+) -> int:
+    """The main-loop iterations left once every mask is covered on some side.
+
+    Each further draw takes a blocked insert that covers one of the
+    left_lower (left_upper) masks still uncovered on its side, until a draw
+    finds its side with none left; that last iteration is counted too.
+    """
+    iterations = 0
+    while True:
+        iterations += 1
+        if draw() < p_up:
+            if not left_lower:
+                return iterations
+            left_lower -= 1
+        else:
+            if not left_upper:
+                return iterations
+            left_upper -= 1
+
+
 def ucs_solve(
     n: int,
     cost: Instance | Callable[[int], float],
@@ -318,6 +354,11 @@ def ucs_solve(
             if on_event:
                 on_event({"event": "restrict", "side": own.orientation, "element": a})
             if blocked:
+                if not on_event:
+                    tail = blocked_tail(r_lower, r_upper)
+                    if tail is not None:
+                        minmax_calls += tail_iterations(draw, p_up, *tail)
+                        break
                 continue
             if ev.target_reached:
                 break

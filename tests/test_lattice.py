@@ -14,6 +14,7 @@ from ucurve.lattice import (
     LOWER,
     UPPER,
     RestrictionSet,
+    blocked_tail,
     full_set,
     maximal_element,
     minimal_element,
@@ -327,6 +328,16 @@ class TestInsertSeed:
                 rs.insert_seed(x)
             assert (rs.members, bytes(rs._cover or b"")) == before
 
+    @pytest.mark.parametrize("bitmap", [True, False])
+    def test_out_of_range_seed_raises_before_writing(self, bitmap):
+        for orientation in (LOWER, UPPER):
+            rs = restriction_set(orientation, 3, bitmap=bitmap)
+            for x in (-1, 1 << 3):
+                with pytest.raises(ValueError, match="out of range"):
+                    rs.insert_seed(x)
+                assert rs.members == []
+                assert not any(rs.covers(m) for m in range(8))
+
     def test_check_survives_optimized_mode(self):
         script = (
             "from ucurve.lattice import LOWER, RestrictionSet\n"
@@ -450,6 +461,50 @@ class TestMinMaxElements:
             r_upper._cursor = successor
             assert maximal_element(r_upper) == m
             r_upper._cover[successor] = 0
+
+
+class TestBlockedTail:
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["lower", "upper", "min", "max", "seed_min", "seed_max"]),
+                st.integers(min_value=0, max_value=63),
+            ),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=400)
+    def test_counts_only_when_every_mask_is_covered(self, n, ops):
+        # the cursors move only through minimal_element / maximal_element;
+        # whenever the helper answers, its counts must be exact
+        full = full_set(n)
+        r_lower = lower_set(n, [])
+        r_upper = upper_set(n, [])
+        for op, x in ops:
+            if op == "lower":
+                r_lower.update(x & full)
+            elif op == "upper":
+                r_upper.update(x & full)
+            else:
+                r = r_lower if op.endswith("min") else r_upper
+                a = minimal_element(r) if r is r_lower else maximal_element(r)
+                if op.startswith("seed") and a is not None:
+                    r.insert_seed(a)
+            tail = blocked_tail(r_lower, r_upper)
+            if tail is None:
+                continue
+            masks = range(full + 1)
+            assert not [m for m in masks if not r_lower.covers(m) and not r_upper.covers(m)]
+            assert tail == (
+                sum(not r_lower.covers(m) for m in masks),
+                sum(not r_upper.covers(m) for m in masks),
+            )
+
+    def test_none_without_a_bitmap(self):
+        r_lower = lower_set(3, [0b111], bitmap=False)
+        r_upper = upper_set(3, [0b000], bitmap=False)
+        assert blocked_tail(r_lower, r_upper) is None
 
 
 class TestSpaceAndAdjacency:

@@ -445,6 +445,29 @@ class TestUcsSolve:
         assert report.dfs_calls <= report.minmax_calls
         assert report.time_in_cost <= report.wall_time
 
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_blocked_tail_is_counted_not_walked(self, monkeypatch, traced):
+        # an untraced run stops calling the cursors once they cross and
+        # counts the rest of its iterations; a traced run walks them all
+        calls = 0
+
+        def counted(extreme):
+            def call(r):
+                nonlocal calls
+                calls += 1
+                return extreme(r)
+
+            return call
+
+        monkeypatch.setattr(ucurve.ucs, "minimal_element", counted(ucurve.lattice.minimal_element))
+        monkeypatch.setattr(ucurve.ucs, "maximal_element", counted(ucurve.lattice.maximal_element))
+        inst = generate_subset_sum_instance(10, 3)
+        report = ucs_solve(10, inst, seed=2, on_event=(lambda event: None) if traced else None)
+        if traced:
+            assert calls == report.minmax_calls
+        else:
+            assert calls < report.minmax_calls
+
 
 class TestFlagSoundnessCheck:
     """An empty flag whose neighbours are not all covered must stop the search."""

@@ -10,6 +10,10 @@ refactor of the search must reproduce every record on both coverage paths.
 and the legacy search: what each computed, what it reported and the order
 in which it evaluated the masks. The legacy search keeps restriction sets,
 so its records must hold on both coverage paths too.
+
+A ucs record is checked twice on each path: traced, as it was made, and
+without ``on_event``, where the run counts its blocked tail instead of
+walking it and must still report the same counts, minima and best cost.
 """
 
 import hashlib
@@ -72,17 +76,21 @@ def run(case):
     return report, events
 
 
-def trajectory(case):
-    report, events = run(case)
-    stream = json.dumps(events, sort_keys=True).encode()
+def pinned(report):
+    """What a ucs fixture record pins of the report."""
     return {
         "computed_nodes": report.computed_nodes,
         "dfs_calls": report.dfs_calls,
         "minmax_calls": report.minmax_calls,
         "minima": report.minima_vectors(),
         "best_cost": report.best_cost,
-        "events_sha256": hashlib.sha256(stream).hexdigest(),
     }
+
+
+def trajectory(case):
+    report, events = run(case)
+    stream = json.dumps(events, sort_keys=True).encode()
+    return dict(pinned(report), events_sha256=hashlib.sha256(stream).hexdigest())
 
 
 OTHER_SOLVERS = {
@@ -142,6 +150,19 @@ class TestGoldenTrajectories:
             case = {k: record[k] for k in CASES[0]}
             expected = {k: v for k, v in record.items() if k not in case}
             assert trajectory(case) == expected, case
+
+    @pytest.mark.parametrize("bitmap", [True, False])
+    def test_fixture_reproduced_untraced(self, monkeypatch, bitmap):
+        # without on_event an unbudgeted run counts its blocked tail instead
+        # of walking it; everything the report pins must come out the same
+        if not bitmap:
+            monkeypatch.setattr(ucurve.lattice, "_ACCEL_MAX_DEGREE", 0)
+        for record in json.loads(FIXTURE.read_text(encoding="utf-8")):
+            case = {k: record[k] for k in CASES[0]}
+            inst = build_instance(case)
+            report = ucs_solve(inst.n, inst, seed=case["seed"], **stop_criteria(case, inst))
+            got = pinned(report)
+            assert got == {k: record[k] for k in got}, case
 
     @pytest.mark.parametrize(
         "solver, bitmap",
