@@ -125,8 +125,6 @@ class ExperimentConfig(Record):
             raise ValueError("threshold_scope must be 'mean' or 'per-instance'")
         if self.cost_kind not in (costmod.SUBSET_SUM, costmod.MCE):
             raise ValueError(f"unsupported cost kind {self.cost_kind!r}")
-        if isinstance(self.p_up, bool) or not isinstance(self.p_up, (int, float)):
-            raise ValueError(f"p_up must be a number, got {self.p_up!r}")
         check_p_up(self.p_up)
         if type(self.include_times) is not bool:
             raise ValueError(f"include_times must be true or false, got {self.include_times!r}")

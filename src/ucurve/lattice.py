@@ -72,13 +72,14 @@ class RestrictionSet:
     set up to R; with UPPER orientation it removes the interval from R up to
     the full set. ``update`` keeps the members an antichain: an element
     already covered is dropped, and inserting an element absorbs the members
-    its interval swallows. ``members`` lists them in insertion order.
+    its interval swallows. ``members`` lists them in mask order.
 
-    For n <= 20 a per-degree coverage bitmap is the working structure. Each
-    byte tags one lattice element: 0 uncovered, 1 covered, 2 antichain
-    member. ``_flip`` is 0 for LOWER and ``full`` for UPPER; XOR with it
-    maps UPPER onto LOWER, so both orientations share one code path. Take
-    LOWER. Marking walks a spanning tree of the new interval: a child
+    For n <= 20 a per-degree coverage bitmap is the set's one record of
+    its members and coverage. Each byte tags one lattice element: 0
+    uncovered, 1 covered, 2 antichain member; the tag-2 bytes are the
+    antichain, and ``members`` reads them off. ``_flip`` is 0 for LOWER
+    and ``full`` for UPPER; XOR with it maps UPPER onto LOWER, so both
+    orientations share one code path. Take LOWER. Marking walks a spanning tree of the new interval: a child
     reached from x by clearing bit b may only clear bits above b further
     (exactly the bits its parent has still to try), and the walk stops at
     a child that is already covered. The uncovered part of the lattice is
@@ -90,18 +91,21 @@ class RestrictionSet:
     plus the highest bit of x - r. Every proper superset of r inside x was
     uncovered, or a member strictly containing r would exist and the set
     would not be an antichain, so that parent is reached, meets r, finds
-    the tag 2, and demotes r to 1 and drops it. Absorption therefore costs
-    O(1) per absorbed member, and an insert costs O(n) per newly covered
-    element. The walk is ``_mark`` bound to the bitmap, the antichain and
-    the flip when the set is built. Above ``_ACCEL_MAX_DEGREE`` (20), the
-    one switch between the paths, ``covers`` scans the antichain and
-    ``update`` filters it.
+    the tag 2, and demotes r to 1. Absorption therefore costs O(1) per
+    absorbed member, and an insert costs O(n) per newly covered element.
+    Above ``_ACCEL_MAX_DEGREE`` (20), the one switch between the paths, the
+    set keeps the antichain itself: ``covers`` scans it and an insert
+    filters it. ``_insert`` is chosen when the set is built, the way
+    ``covered`` is: ``_mark`` bound to the bitmap and the flip, or
+    ``_absorb``.
 
     ``insert_seed`` is the insert for the answer of ``minimal_element``
     (LOWER) or ``maximal_element`` (UPPER). That answer's proper subsets
-    (supersets) are all covered already, so the insert covers only the
-    answer itself: it needs no coverage query and no walk, only a look at
-    the answer's n neighbours on that side for members to absorb.
+    (supersets) are all covered already, so its insert covers the answer
+    alone: the marking walk stops at each of the answer's n neighbours on
+    that side, demoting those that are members. It checks the mask's
+    range and that the mask is uncovered, then calls ``_insert``. It makes
+    no ``covers`` call, so ``covers`` is called once per ``update``.
 
     ``full`` is the mask of all n features.
 
@@ -117,7 +121,7 @@ class RestrictionSet:
     """
 
     __slots__ = (
-        "orientation", "n", "covered", "_members", "full", "_flip", "_cover", "_cursor", "_mark"
+        "orientation", "n", "covered", "_members", "full", "_flip", "_cover", "_cursor", "_insert"
     )
 
     def __init__(self, orientation: str, n: int, members: Iterable[int] = ()) -> None:
@@ -126,25 +130,35 @@ class RestrictionSet:
         check_degree(n)
         self.orientation = orientation
         self.n = n
-        self._members: dict[int, None] = {}
         self.full = (1 << n) - 1
         self._flip = 0 if orientation == LOWER else self.full
         if n <= _ACCEL_MAX_DEGREE:
             self._cover = bytearray(1 << n)
+            self._members = None
             self.covered = self._cover.__getitem__
-            # bound to the bitmap and the antichain, not to self: no cycle
-            self._mark = partial(_mark, self._cover, self._members, self._flip)
+            # bound to the bitmap, not to self: no cycle
+            self._insert = partial(_mark, self._cover, self._flip)
         else:
             self._cover = None
+            self._members = {}
             self.covered = self._scan
+            self._insert = self._absorb
         self._cursor = self._flip
         for m in members:
             self.update(m)
 
     @property
     def members(self) -> list[int]:
-        """The antichain, in insertion order."""
-        return list(self._members)
+        """The antichain, in mask order."""
+        cover = self._cover
+        if cover is None:
+            return sorted(self._members)
+        found = []
+        x = cover.find(2)
+        while x >= 0:
+            found.append(x)
+            x = cover.find(2, x + 1)
+        return found
 
     def covers(self, x: int) -> bool:
         """True iff some member's interval contains x."""
@@ -163,47 +177,22 @@ class RestrictionSet:
 
     def update(self, x: int) -> None:
         """Insert x unless already covered; absorb members x dominates."""
-        if self.covers(x):
-            return
-        if self._cover is not None:
-            self._members[x] = None
-            self._mark(x)
-        else:
-            self._absorb(x)
+        if not self.covers(x):
+            self._insert(x)
 
     def insert_seed(self, x: int) -> None:
         """Insert the cursor's answer x: the uncovered mask whose proper
         subsets (LOWER) or supersets (UPPER) are all covered.
 
-        Such an insert newly covers x alone, and the only members it can
-        absorb are x's neighbours on that side: a member r further inside
-        would lie inside a covered neighbour of x, so inside some other
-        member. So x is tagged 2 and each tag-2 neighbour is demoted and
-        dropped; the result is what ``update(x)`` leaves. Raises
-        ValueError, before anything is written, if x is out of range, and
-        RuntimeError if x is covered already.
+        The result is what ``update(x)`` leaves, without its coverage
+        query. Raises ValueError, before anything is written, if x is out
+        of range, and RuntimeError if x is covered already.
         """
         if x < 0 or x >> self.n:
             raise ValueError(f"element {x} out of range for degree {self.n}")
-        cover = self._cover
-        if cover is None:
-            if self._scan(x):
-                raise RuntimeError(f"seed {x:#x} is covered already")
-            self._absorb(x)
-            return
-        if cover[x]:
+        if self.covered(x):
             raise RuntimeError(f"seed {x:#x} is covered already")
-        members = self._members
-        members[x] = None
-        cover[x] = 2
-        bits = x ^ self._flip
-        while bits:
-            b = bits & -bits
-            bits ^= b
-            y = x ^ b
-            if cover[y] == 2:
-                cover[y] = 1
-                del members[y]
+        self._insert(x)
 
     def _absorb(self, x: int) -> None:
         """Insert uncovered x into the antichain without a bitmap."""
@@ -219,18 +208,19 @@ class RestrictionSet:
         members[x] = None
 
     def __len__(self) -> int:
-        return len(self._members)
+        cover = self._cover
+        return len(self._members) if cover is None else cover.count(2)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._members)
+        return iter(self.members)
 
     def __repr__(self) -> str:
-        vecs = [render_element(m, self.n) for m in self._members]
+        vecs = [render_element(m, self.n) for m in self.members]
         return f"RestrictionSet({self.orientation}, n={self.n}, members={vecs})"
 
 
-def _mark(cover: bytearray, members: dict[int, None], flip: int, x: int) -> None:
-    """Tag x 2 and the newly covered elements of its interval 1, absorbing members on the way.
+def _mark(cover: bytearray, flip: int, x: int) -> None:
+    """Tag x 2 and the newly covered elements of its interval 1, demoting members on the way.
 
     The spanning-tree walk of RestrictionSet: it flips the bits of
     ``x ^ flip``, clearing them for LOWER (flip 0) and setting them for
@@ -257,11 +247,43 @@ def _mark(cover: bytearray, members: dict[int, None], flip: int, x: int) -> None
                     stack.append(bits)
             elif tag == 2:
                 cover[child] = 1
-                del members[child]
         if not stack:
             return
         bits = stack.pop()
         y = stack.pop()
+
+
+def _extreme(r: RestrictionSet) -> int | None:
+    """The answer of minimal_element (LOWER) or maximal_element (UPPER).
+
+    Both walks run on ``c = x ^ r._flip``, where an UPPER set reads as a
+    LOWER one: a bit-reversed decrement of x is an increment of
+    ``x ^ full``, and the greedy ascent from the empty set is the greedy
+    descent from ``full``. The answer is the first uncovered c in
+    bit-reversed order, or None if every mask is covered. The cursor is
+    kept as a plain mask, which ``blocked_tail`` reads.
+    """
+    flip = r._flip
+    full = r.full
+    if r.covered(full ^ flip):
+        return None
+    cover = r._cover
+    if cover is not None:
+        # the last mask is uncovered, so a covered c always has a clear bit
+        c = r._cursor ^ flip
+        while cover[c ^ flip]:
+            h = 1 << ((full ^ c).bit_length() - 1)
+            c = (c & (h - 1)) | h
+        r._cursor = x = c ^ flip
+        return x
+    covered = r.covered
+    # bit b is still set when its turn comes: only lower bits were cleared
+    c = full
+    for b in range(r.n):
+        candidate = c ^ (1 << b)
+        if not covered(candidate ^ flip):
+            c = candidate
+    return c ^ flip
 
 
 def minimal_element(r_lower: RestrictionSet) -> int | None:
@@ -287,32 +309,12 @@ def minimal_element(r_lower: RestrictionSet) -> int | None:
     bit-reversed increment, which clears the run of set bits at the top and
     sets the highest clear bit h below it. With
     ``h = 1 << ((full ^ x).bit_length() - 1)`` that is
-    ``x = (x & (h - 1)) | h``, with no loop over the bits.
+    ``x = (x & (h - 1)) | h``, with no loop over the bits. The walk is
+    ``_extreme``, shared with maximal_element.
     """
     if r_lower.orientation != LOWER:
         raise ValueError("minimal_element needs a LOWER restriction collection")
-    n = r_lower.n
-    x = r_lower.full
-    if r_lower.covered(x):
-        return None
-    cover = r_lower._cover
-    if cover is not None:
-        # the full set is uncovered, so a covered x always has a clear bit
-        full = x
-        x = r_lower._cursor
-        while cover[x]:
-            h = 1 << ((full ^ x).bit_length() - 1)
-            x = (x & (h - 1)) | h
-        r_lower._cursor = x
-        return x
-    covered = r_lower.covered
-    for b in range(n):
-        bit = 1 << b
-        if x & bit:
-            candidate = x ^ bit
-            if not covered(candidate):
-                x = candidate
-    return x
+    return _extreme(r_lower)
 
 
 def maximal_element(r_upper: RestrictionSet) -> int | None:
@@ -320,35 +322,12 @@ def maximal_element(r_upper: RestrictionSet) -> int | None:
 
     The answer is the last uncovered mask in bit-reversed order; the cursor
     steps backward from the full set with bit-reversed decrements, and
-    every mask after the cursor in that order is covered. A
-    decrement sets the run of clear bits at the top and clears the highest
-    set bit h below it: with h = 1 << (x.bit_length() - 1), that is
-    ``x = (x & (h - 1)) | (full ^ ((h << 1) - 1))``.
+    every mask after the cursor in that order is covered. ``_extreme``
+    takes each decrement as an increment of the complement.
     """
     if r_upper.orientation != UPPER:
         raise ValueError("maximal_element needs an UPPER restriction collection")
-    n = r_upper.n
-    if r_upper.covered(0):
-        return None
-    cover = r_upper._cover
-    if cover is not None:
-        # the empty set is uncovered, so a covered x always has a set bit
-        full = r_upper.full
-        x = r_upper._cursor
-        while cover[x]:
-            h = 1 << (x.bit_length() - 1)
-            x = (x & (h - 1)) | (full ^ ((h << 1) - 1))
-        r_upper._cursor = x
-        return x
-    covered = r_upper.covered
-    x = 0
-    for b in range(n):
-        bit = 1 << b
-        if not x & bit:
-            candidate = x | bit
-            if not covered(candidate):
-                x = candidate
-    return x
+    return _extreme(r_upper)
 
 
 def blocked_tail(r_lower: RestrictionSet, r_upper: RestrictionSet) -> tuple[int, int] | None:

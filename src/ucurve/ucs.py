@@ -30,8 +30,10 @@ tags never go back. The DFS pops dead nodes when they reach its stack top.
 
 A is minimal (maximal), so the rest of its interval is gone already and
 its removal covers A alone: RestrictionSet.insert_seed does it without a
-walk. Many iterations of a run are blocked, A already being covered on the
-opposite side, and evaluate nothing; that insert, the cursor step of
+coverage query, and with the bitmap its marking walk ends at the root
+step, a look at A's n neighbours on that side. Many iterations of a run
+are blocked, A already being covered on the opposite side, and evaluate
+nothing; that insert, the cursor step of
 minimal_element/maximal_element and the direction draw are the part of a
 run's cost that does not grow with the nodes it evaluates. Blocked
 iterations are walked only until the two cursors cross
@@ -96,8 +98,9 @@ class Node:
 
 
 def check_p_up(p_up: float) -> None:
-    if not 0.0 <= p_up <= 1.0:
-        raise ValueError(f"p_up must be within [0, 1], got {p_up}")
+    """Raise ValueError unless p_up is an int or float (not a bool) within [0, 1]."""
+    if isinstance(p_up, bool) or not isinstance(p_up, (int, float)) or not 0.0 <= p_up <= 1.0:
+        raise ValueError(f"p_up must be a number within [0, 1], got {p_up!r}")
 
 
 def select_unvisited_adjacent(

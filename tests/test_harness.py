@@ -451,7 +451,7 @@ class TestCounterCrossCheck:
 
 
 @pytest.mark.parametrize("algorithm", ["ubb", "sffs", "exhaustive"])
-@pytest.mark.parametrize("p_up", [7.0, -0.5, float("nan")])
+@pytest.mark.parametrize("p_up", [7.0, -0.5, float("nan"), True, "0.5", None, [1]])
 def test_run_solver_checks_p_up_for_every_algorithm(algorithm, p_up):
     with pytest.raises(ValueError, match="p_up"):
         run_solver(algorithm, generate_subset_sum_instance(5, 3), p_up=p_up)

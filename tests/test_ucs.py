@@ -275,7 +275,7 @@ class TestDfs:
         assert not flushed_dead
 
 
-BAD_P_UPS = (1.5, -0.5, float("nan"))
+BAD_P_UPS = (1.5, -0.5, float("nan"), True, "0.5", None, [1])
 
 
 class TestSelectDirection:
