@@ -256,34 +256,37 @@ def _mark(cover: bytearray, flip: int, x: int) -> None:
 def _extreme(r: RestrictionSet) -> int | None:
     """The answer of minimal_element (LOWER) or maximal_element (UPPER).
 
-    Both walks run on ``c = x ^ r._flip``, where an UPPER set reads as a
-    LOWER one: a bit-reversed decrement of x is an increment of
-    ``x ^ full``, and the greedy ascent from the empty set is the greedy
-    descent from ``full``. The answer is the first uncovered c in
-    bit-reversed order, or None if every mask is covered. The cursor is
-    kept as a plain mask, which ``blocked_tail`` reads.
+    Both walks run on plain masks toward ``end = full ^ r._flip``, the
+    full set for LOWER and the empty set for UPPER; the cursor starts at
+    the other end, ``r._flip``. Read in ``x ^ r._flip``, an UPPER set is a
+    LOWER one, so one cursor step serves both sides: h is the highest bit
+    where x differs from end, and the step flips h and every bit above it.
+    For LOWER that is the bit-reversed increment, for UPPER the decrement.
+    The greedy walk starts at end and flips each bit in ascending order
+    while the element stays uncovered. The answer is None if end is
+    covered, for then every mask is.
     """
-    flip = r._flip
     full = r.full
-    if r.covered(full ^ flip):
+    end = full ^ r._flip
+    if r.covered(end):
         return None
     cover = r._cover
     if cover is not None:
-        # the last mask is uncovered, so a covered c always has a clear bit
-        c = r._cursor ^ flip
-        while cover[c ^ flip]:
-            h = 1 << ((full ^ c).bit_length() - 1)
-            c = (c & (h - 1)) | h
-        r._cursor = x = c ^ flip
+        # end is uncovered, so a covered x always differs from it
+        x = r._cursor
+        while cover[x]:
+            h = 1 << ((end ^ x).bit_length() - 1)
+            x ^= full ^ (h - 1)
+        r._cursor = x
         return x
     covered = r.covered
-    # bit b is still set when its turn comes: only lower bits were cleared
-    c = full
+    # bit b still agrees with end when its turn comes: only lower bits moved
+    x = end
     for b in range(r.n):
-        candidate = c ^ (1 << b)
-        if not covered(candidate ^ flip):
-            c = candidate
-    return c ^ flip
+        candidate = x ^ (1 << b)
+        if not covered(candidate):
+            x = candidate
+    return x
 
 
 def minimal_element(r_lower: RestrictionSet) -> int | None:
@@ -307,9 +310,9 @@ def minimal_element(r_lower: RestrictionSet) -> int | None:
     which ``blocked_tail`` relies on, is that every mask before the cursor
     in bit-reversed order is covered. A step is a
     bit-reversed increment, which clears the run of set bits at the top and
-    sets the highest clear bit h below it. With
-    ``h = 1 << ((full ^ x).bit_length() - 1)`` that is
-    ``x = (x & (h - 1)) | h``, with no loop over the bits. The walk is
+    sets the highest clear bit h below it, that is, flips h and every bit
+    above it. With ``h = 1 << ((full ^ x).bit_length() - 1)`` that is
+    ``x ^= full ^ (h - 1)``, with no loop over the bits. The walk is
     ``_extreme``, shared with maximal_element.
     """
     if r_lower.orientation != LOWER:
@@ -322,8 +325,9 @@ def maximal_element(r_upper: RestrictionSet) -> int | None:
 
     The answer is the last uncovered mask in bit-reversed order; the cursor
     steps backward from the full set with bit-reversed decrements, and
-    every mask after the cursor in that order is covered. ``_extreme``
-    takes each decrement as an increment of the complement.
+    every mask after the cursor in that order is covered. A decrement
+    flips the highest set bit and every bit above it, the same step as
+    the increment with "set" for "clear", so ``_extreme`` takes both.
     """
     if r_upper.orientation != UPPER:
         raise ValueError("maximal_element needs an UPPER restriction collection")
