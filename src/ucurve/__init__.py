@@ -13,6 +13,7 @@ from .cost import (
     CostEvaluator,
     Instance,
     SampleTable,
+    TargetReached,
     Witness,
     generate_decomposable_explicit,
     generate_sample_table,
@@ -59,6 +60,7 @@ __all__ = [
     "RestrictionSet",
     "SampleTable",
     "SearchReport",
+    "TargetReached",
     "UPPER",
     "Witness",
     "dfs",

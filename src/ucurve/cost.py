@@ -121,8 +121,13 @@ class Instance(FrozenRecord):
         if self.kind == SUBSET_SUM:
             return _subset_sum_kernel(self.weights, self.target)
         if self.kind == EXPLICIT:
-            table = self.costs
-            return lambda x: table[x]
+            n, table = self.n, self.costs
+
+            def explicit(x: int) -> float:
+                check_element(x, n)
+                return table[x]
+
+            return explicit
         return _mce_kernel(self.samples)
 
 
@@ -295,20 +300,25 @@ class BudgetExhausted(Exception):
     """Control signal: the node budget is spent, solvers unwind and report best-so-far."""
 
 
+class TargetReached(Exception):
+    """Control signal: a fresh cost met the cost target, solvers unwind and report it."""
+
+
 class CostEvaluator:
     """Memoizing cost oracle with instrumentation and stop criteria.
 
     The memo maps each element evaluated to its cost; it is the run's one
     record of what it computed, and the run's report (best cost, minima)
     is drawn from it. computed_nodes equals the number of distinct
-    elements evaluated; repeat lookups hit the memo and do not count. With
-    a node budget, the call that would exceed the budget is never
-    performed: BudgetExhausted is raised instead. With a cost target,
-    target_reached latches as soon as a freshly computed value is <= the
-    target; solvers poll the flag. Both criteria are checked before the
-    cost function is built: a budget must be a non-negative int and a
-    target a number other than NaN (bools are neither; ±inf are targets
-    that never fire or always fire), else ValueError.
+    elements evaluated; repeat lookups hit the memo and do not count.
+    Both stop criteria raise, and report.SolverRun catches either: the
+    call that would exceed a node budget raises BudgetExhausted instead,
+    and a fresh value at or below the cost target is memoized, then
+    raises TargetReached. The criteria and the degree are checked before
+    the cost function is built, else ValueError: a budget must be a
+    non-negative int, a target a number other than NaN (bools are
+    neither; -inf never fires, inf fires at once), and n, needed for a
+    bare callable, must equal an Instance's degree.
 
     A bare callable is wrapped by checked_cost, so a non-finite or
     non-numeric cost raises ValueError. Instance cost functions are finite
@@ -322,7 +332,6 @@ class CostEvaluator:
         "memo",
         "node_budget",
         "cost_target",
-        "target_reached",
         "elapsed_in_cost",
     )
 
@@ -341,19 +350,21 @@ class CostEvaluator:
             or math.isnan(cost_target)
         ):
             raise ValueError(f"cost target must be a number other than NaN, got {cost_target!r}")
+        if n is not None:
+            check_degree(n)
         if isinstance(cost, Instance):
+            if n is not None and n != cost.n:
+                raise ValueError(f"degree {n} does not match the instance's degree {cost.n}")
             self.fn = cost.cost_function()
             self.n = cost.n
         else:
             if n is None:
                 raise ValueError("a bare cost callable needs an explicit degree")
-            check_degree(n)
             self.fn = checked_cost(cost)
             self.n = n
         self.memo: dict[int, float] = {}
         self.node_budget = node_budget
         self.cost_target = cost_target
-        self.target_reached = False
         self.elapsed_in_cost = 0.0
 
     @property
@@ -374,7 +385,7 @@ class CostEvaluator:
         self.elapsed_in_cost += time.perf_counter() - start
         memo[x] = value
         if self.cost_target is not None and value <= self.cost_target:
-            self.target_reached = True
+            raise TargetReached
         return value
 
 

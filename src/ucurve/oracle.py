@@ -34,8 +34,6 @@ def exhaustive_solve(
     with run as ev:
         for m in range(1 << n):
             ev.evaluate(m)
-            if ev.target_reached:
-                break
     return run.report()
 
 
@@ -78,11 +76,7 @@ def legacy_ucurve_solve(
                 own.update(a)
                 continue
             m = _chain_minimum(a, n, ev, r_lower, r_upper, going_up)
-            if ev.target_reached:
-                break
             _minimum_exhausting(m, n, ev, r_lower, r_upper)
-            if ev.target_reached:
-                break
     return run.report()
 
 
@@ -96,7 +90,7 @@ def _chain_minimum(
 ) -> int:
     current = start
     c_current = ev.evaluate(start)
-    while not ev.target_reached:
+    while True:
         step = None
         for b in range(n):
             bit = 1 << b
@@ -145,8 +139,6 @@ def _minimum_exhausting(
             if r_lower.covered(y) or r_upper.covered(y):
                 continue
             c_y = ev.evaluate(y)
-            if ev.target_reached:
-                return
             if c_y <= c_top:
                 stack.append(y)
                 stacked.add(y)

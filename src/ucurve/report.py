@@ -1,8 +1,8 @@
 """The run contract and the report shared by every solver.
 
 Each solver opens a SolverRun, searches with the evaluator it yields and
-returns its report(): the degree check, the evaluator, the clock, the
-node-budget stop and the report live here, once for all of them.
+returns its report(): the evaluator, the clock, both stops and the
+report live here, once for all of them.
 """
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from .cost import BudgetExhausted, CostEvaluator, Instance
-from .lattice import check_degree, render_element
+from .cost import BudgetExhausted, CostEvaluator, Instance, TargetReached
+from .lattice import render_element
 from .record import Record
 
 
@@ -90,14 +90,13 @@ class SearchReport(Record):
 
 
 class SolverRun:
-    """The contract of one solver run: degree check, evaluator, clock and budget stop.
+    """The contract of one solver run: evaluator, clock and both stops.
 
-    Built before the search, it rejects an Instance whose degree is not n
-    with ValueError, before anything is evaluated, and builds the run's
-    own CostEvaluator from the cost and the two stop criteria, so a run
-    never shares an evaluator and its criteria always apply. Entering it
-    starts the clock and yields the evaluator; a BudgetExhausted raised in
-    the block ends the block and marks the run budget_exhausted.
+    Built before the search, it builds the run's own CostEvaluator, which
+    checks the degree and both stop criteria before anything is
+    evaluated, so a run never shares an evaluator. Entering it starts the
+    clock and yields the evaluator; a BudgetExhausted or TargetReached
+    raised in the block ends the block, and the report says which.
     """
 
     def __init__(
@@ -108,9 +107,6 @@ class SolverRun:
         node_budget: int | None = None,
         cost_target: float | None = None,
     ) -> None:
-        check_degree(n)
-        if isinstance(cost, Instance) and cost.n != n:
-            raise ValueError(f"degree {n} does not match the instance's degree {cost.n}")
         self.algorithm = algorithm
         self.evaluator = CostEvaluator(cost, n=n, node_budget=node_budget, cost_target=cost_target)
 
@@ -119,12 +115,12 @@ class SolverRun:
         return self.evaluator
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.budget_exhausted = exc_type is not None and issubclass(exc_type, BudgetExhausted)
-        return self.budget_exhausted
+        self.stop = exc if isinstance(exc, (BudgetExhausted, TargetReached)) else None
+        return self.stop is not None
 
     def report(self, dfs_calls: int = 0, minmax_calls: int = 0) -> SearchReport:
-        ev, exhausted = self.evaluator, self.budget_exhausted
-        return conclude(self.algorithm, ev, self.started, dfs_calls, minmax_calls, exhausted)
+        ev, stop = self.evaluator, self.stop
+        return conclude(self.algorithm, ev, self.started, dfs_calls, minmax_calls, stop)
 
 
 def conclude(
@@ -133,12 +129,14 @@ def conclude(
     started: float,
     dfs_calls: int = 0,
     minmax_calls: int = 0,
-    budget_exhausted: bool = False,
+    stop: Exception | None = None,
 ) -> SearchReport:
-    """Build the report of a finished or budget-stopped run from its evaluator's memo.
+    """Build the report of a run from its evaluator's memo and the stop that ended it.
 
     The best cost is the least in the memo and the minima are its elements
-    of that cost, so a budget stop reports the best found so far.
+    of that cost, so a budget stop reports the best found so far. stop is
+    the exception SolverRun caught, or None; it sets budget_exhausted or
+    target_reached.
     """
     wall = time.perf_counter() - started
     n = evaluator.n
@@ -162,6 +160,6 @@ def conclude(
         time_in_cost=evaluator.elapsed_in_cost,
         dfs_calls=dfs_calls,
         minmax_calls=minmax_calls,
-        budget_exhausted=budget_exhausted,
-        target_reached=evaluator.target_reached,
+        budget_exhausted=isinstance(stop, BudgetExhausted),
+        target_reached=isinstance(stop, TargetReached),
     )

@@ -57,18 +57,14 @@ def sffs_solve(
     with run as ev:
         current = 0
         best_at = {0: ev.evaluate(0)}
-        while current != full and not ev.target_reached:
+        while current != full:
             current = sfs_step(current, n, ev)
             k = current.bit_count()
             c_current = ev.evaluate(current)
             if c_current < best_at.get(k, math.inf):
                 best_at[k] = c_current
-            if ev.target_reached:
-                break
             while current.bit_count() >= 2:
                 candidate = sbs_step(current, n, ev)
-                if ev.target_reached:
-                    break
                 c_candidate = ev.evaluate(candidate)
                 if c_candidate < best_at.get(k - 1, math.inf):
                     current = candidate

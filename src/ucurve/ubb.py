@@ -25,9 +25,7 @@ def ubb_solve(
 ) -> SearchReport:
     run = SolverRun("ubb", n, cost, node_budget, cost_target)
     with run as ev:
-        root_cost = ev.evaluate(0)
-        if not ev.target_reached:
-            _descend(0, root_cost, 0, n, ev)
+        _descend(0, ev.evaluate(0), 0, n, ev)
     return run.report()
 
 
@@ -35,9 +33,5 @@ def _descend(element: int, element_cost: float, first_bit: int, n: int, ev: Cost
     for b in range(first_bit, n):
         child = element | (1 << b)
         child_cost = ev.evaluate(child)
-        if ev.target_reached:
-            return
         if child_cost <= element_cost:
             _descend(child, child_cost, b + 1, n, ev)
-            if ev.target_reached:
-                return

@@ -48,11 +48,12 @@ A run never shares state. Each node reads its cost from the evaluator
 once, when it is pushed (a DFS seed when the main loop picks it), and the
 pruning rules read it off the node; the evaluator's memo is the run's one
 record of what it computed, and the report is drawn from it. ucs_solve,
-like every solver, runs inside report.SolverRun, which checks the degree,
-builds the evaluator, keeps the clock and turns a node-budget stop into
-budget_exhausted. The optional on_event callback receives one dict per
-push / pop / restriction update, which is what the CLI --trace flag and
-the instrumented no-minimum-loss tests consume.
+like every solver, runs inside report.SolverRun, which builds the
+evaluator, keeps the clock and catches both stops the evaluator raises.
+The optional on_event callback receives one dict per push / pop /
+restriction update, which is what the CLI --trace flag and the
+instrumented no-minimum-loss tests consume; a run stopped by its cost
+target ends before the push of the evaluation that met it.
 """
 
 from __future__ import annotations
@@ -227,9 +228,8 @@ def dfs(
 
     Every node pushed gets its cost from the evaluator once, on push, and so
     does m_node unless its caller has set its cost already; the evaluator's
-    memo keeps what the search computed. On
-    a node-budget stop the exception propagates; on a cost-target hit the
-    search returns immediately.
+    memo keeps what the search computed. Both stops propagate from the
+    evaluator, so a node whose cost meets the target gets no push event.
 
     Before an empty flag licenses an interval removal, every neighbour on
     that side is checked to be covered; a node whose flag claims otherwise
@@ -244,8 +244,6 @@ def dfs(
     upper_covered = r_upper.covered
     if m_node.cost is None:
         m_node.cost = evaluator.evaluate(m_node.element)
-    if evaluator.target_reached:
-        return
     graph: dict[int, Node] = {m_node.element: m_node}
     stack: list[Node] = [m_node]
     while stack:
@@ -267,8 +265,6 @@ def dfs(
             cx = x.cost = evaluator.evaluate(x.element)
             if on_event:
                 on_event({"event": "push", "element": x.element, "cost": cx})
-            if evaluator.target_reached:
-                return
             node_pruning(x, y, r_lower, r_upper, on_event)
             if cx <= cy:
                 break
@@ -363,14 +359,10 @@ def ucs_solve(
                         minmax_calls += tail_iterations(draw, p_up, *tail)
                         break
                 continue
-            if ev.target_reached:
-                break
             # a's own side is gone: only its bits toward the other side are left
             rest = a if own is r_upper else full ^ a
             seed_node = Node(a, rest, rest & a, rest & ~a)
             seed_node.cost = cost_a
             dfs_calls += 1
             dfs(seed_node, r_lower, r_upper, ev, on_event)
-            if ev.target_reached:
-                break
     return run.report(dfs_calls=dfs_calls, minmax_calls=minmax_calls)

@@ -9,6 +9,7 @@ from ucurve.cost import (
     CostEvaluator,
     Instance,
     SampleTable,
+    TargetReached,
     Witness,
     generate_decomposable_explicit,
     generate_sample_table,
@@ -141,11 +142,13 @@ class TestEvaluator:
         assert ev.computed_nodes == 3
 
     def test_cost_target_latches(self):
+        # the value that meets the target is memoized before TargetReached
+        # ends the run, so the report sees it
         ev = CostEvaluator(float, n=3, cost_target=2.0)
-        ev.evaluate(5)
-        assert not ev.target_reached
-        ev.evaluate(2)
-        assert ev.target_reached
+        assert ev.evaluate(5) == 5.0
+        with pytest.raises(TargetReached):
+            ev.evaluate(2)
+        assert ev.memo == {5: 5.0, 2: 2.0}
 
     @pytest.mark.parametrize("budget", [True, False, 2.0, "3", -1])
     def test_node_budget_checked_when_built(self, budget):
@@ -161,11 +164,12 @@ class TestEvaluator:
 
     def test_infinite_cost_targets_stay_valid(self):
         always = CostEvaluator(float, n=3, cost_target=float("inf"))
-        always.evaluate(5)
-        assert always.target_reached
+        with pytest.raises(TargetReached):
+            always.evaluate(5)
+        assert always.memo == {5: 5.0}
         never = CostEvaluator(float, n=3, cost_target=float("-inf"))
-        never.evaluate(0)
-        assert not never.target_reached
+        assert [never.evaluate(x) for x in range(8)] == [float(x) for x in range(8)]
+        assert never.computed_nodes == 8
 
     def test_stop_criteria_checked_before_the_cost_function_is_built(self, monkeypatch):
         built = []
@@ -185,6 +189,31 @@ class TestEvaluator:
         for x in [3, 7, 3, 9, 7, 0, 3]:
             ev.evaluate(x)
         assert ev.computed_nodes == len(trace) == len(set(trace))
+
+    @pytest.mark.parametrize("n", [5, True, 0])
+    def test_degree_must_be_the_instances(self, n):
+        # n=5 once took the instance's degree 7 and evaluated mask 100
+        with pytest.raises(ValueError, match="does not match|degree must be"):
+            CostEvaluator(generate_subset_sum_instance(7, 1), n=n)
+        assert CostEvaluator(generate_subset_sum_instance(7, 1), n=7).evaluate(100) >= 0
+
+
+KERNEL_INSTANCES = {
+    "subset_sum": Instance(n=2, kind="subset_sum", weights=(2, 1), target=3),
+    "explicit": Instance(n=2, kind="explicit", costs=(2.0, 1.0, 3.0, 5.0)),
+    "mce": mce_instance(SampleTable(n=2, rows=((0, 0), (3, 1)))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_INSTANCES))
+@pytest.mark.parametrize("mask", ["-1", "1 << n"])
+def test_every_kernel_rejects_an_out_of_range_mask(kind, mask):
+    # the explicit kernel once read table[-1], the full set's cost, and
+    # raised IndexError at 1 << n
+    instance = KERNEL_INSTANCES[kind]
+    x = -1 if mask == "-1" else 1 << instance.n
+    with pytest.raises(ValueError, match="out of range"):
+        instance.cost_function()(x)
 
 
 class TestMce:

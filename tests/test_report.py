@@ -1,7 +1,13 @@
+import statistics
+
 import pytest
 
 import ucurve.cost
-from ucurve.cost import CostEvaluator, generate_subset_sum_instance
+from ucurve.cost import (
+    CostEvaluator,
+    generate_decomposable_explicit,
+    generate_subset_sum_instance,
+)
 from ucurve.oracle import exhaustive_solve, legacy_ucurve_solve
 from ucurve.sffs import sffs_solve
 from ucurve.ubb import ubb_solve
@@ -66,3 +72,41 @@ def test_solver_checks_its_stop_criteria_before_evaluating(monkeypatch, solve, s
     with pytest.raises(ValueError, match="budget|target"):
         solve(5, generate_subset_sum_instance(5, 3), **stop)
     assert evaluated == []
+
+
+# every solver, sffs and the legacy search included, reaches the optimum of
+# these instances unstopped, so each of them must reach either target
+TARGET_INSTANCES = {
+    "subset_sum-6": generate_subset_sum_instance(6, 2),
+    "subset_sum-8": generate_subset_sum_instance(8, 1),
+    "subset_sum-10": generate_subset_sum_instance(10, 2),
+    "noisy-6": generate_decomposable_explicit(6, 1, noise=0.3),
+    "noisy-8": generate_decomposable_explicit(8, 4, noise=0.3),
+    "noisy-10": generate_decomposable_explicit(10, 1, noise=0.3),
+}
+
+
+@pytest.mark.parametrize("solve", SOLVERS, ids=lambda solve: solve.__name__)
+@pytest.mark.parametrize("instance", TARGET_INSTANCES.values(), ids=TARGET_INSTANCES.keys())
+@pytest.mark.parametrize("looser", [False, True], ids=["optimum", "looser"])
+def test_the_evaluation_that_meets_the_target_is_the_last(solve, instance, looser):
+    # sffs once evaluated on after meeting its target: its neighbour scan never looked
+    n = instance.n
+    fn = instance.cost_function()
+    costs = [fn(x) for x in range(1 << n)]
+    target = min(costs)
+    assert solve(n, instance).best_cost == target
+    if looser:
+        target = (target + statistics.median(costs)) / 2
+    fresh = []
+
+    def recorded(x):
+        fresh.append(fn(x))
+        return fresh[-1]
+
+    report = solve(n, recorded, cost_target=target)
+    met = [i for i, cost in enumerate(fresh) if cost <= target]
+    assert met and met[0] == len(fresh) - 1
+    assert report.target_reached and not report.budget_exhausted
+    assert report.best_cost <= target
+    assert report.computed_nodes == len(fresh)

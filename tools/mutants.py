@@ -30,6 +30,18 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 LATTICE = "ucurve/lattice.py"
+COST = "ucurve/cost.py"
+REPORT = "ucurve/report.py"
+UCS = "ucurve/ucs.py"
+TARGET = [
+    "tests/test_cost.py::TestEvaluator::test_cost_target_latches",
+    "tests/test_report.py::test_the_evaluation_that_meets_the_target_is_the_last",
+]
+BUDGET = [
+    "tests/test_cost.py::TestEvaluator::test_zero_budget_stops_immediately",
+    "tests/test_cost.py::TestEvaluator::test_budget_three_allows_three_distinct",
+]
+DEAD_NODES = ["tests/test_ucs.py::TestDfs::test_dead_nodes_are_never_expanded_or_flushed"]
 CURSOR = [
     "tests/test_lattice.py::TestMinMaxElements::test_cursor_steps_to_the_bit_reversed_neighbour",
     "tests/test_lattice.py::TestMinMaxElements::test_cursor_matches_greedy_and_enumeration",
@@ -108,6 +120,49 @@ MUTANTS = [
             "tests/test_lattice.py::TestMinMaxElements::test_minimal_is_sound_against_enumeration",
             "tests/test_lattice.py::TestMinMaxElements::test_maximal_is_sound_against_enumeration",
         ],
+    ),
+    (
+        "an evaluator that meets the target without raising",
+        COST,
+        "            raise TargetReached\n",
+        "            pass\n",
+        TARGET,
+    ),
+    (
+        "a run that lets TargetReached escape",
+        REPORT,
+        "isinstance(exc, (BudgetExhausted, TargetReached))",
+        "isinstance(exc, BudgetExhausted)",
+        TARGET,
+    ),
+    (
+        "a budget check that allows one evaluation too many",
+        COST,
+        "len(memo) >= self.node_budget",
+        "len(memo) > self.node_budget",
+        BUDGET,
+    ),
+    (
+        "an explicit kernel without its range check",
+        COST,
+        "                check_element(x, n)\n"
+        "                return table[x]\n",
+        "                return table[x]\n",
+        ["tests/test_cost.py::test_every_kernel_rejects_an_out_of_range_mask"],
+    ),
+    (
+        "dfs liveness that ignores the upper side's tag",
+        UCS,
+        "if lower_covered(ye) == 1 or upper_covered(ye) == 1 or graph.get(ye) is not y:",
+        "if lower_covered(ye) == 1 or graph.get(ye) is not y:",
+        DEAD_NODES,
+    ),
+    (
+        "a flush that keeps dead nodes",
+        UCS,
+        "        if lower_covered(node.element) != 1 and upper_covered(node.element) != 1\n",
+        "",
+        DEAD_NODES,
     ),
 ]
 
