@@ -13,8 +13,12 @@ Three instance kinds are supported:
   table, the cost used for classifier window design. Not guaranteed
   U-shaped on empirical data. ``mce_cost`` is the reference definition,
   a scan over every row. The instance's cost function is a kernel that
-  refines per-feature row bitsets for narrow masks and hands wider ones
-  to ``mce_cost``; it must equal ``mce_cost`` bit for bit on every mask.
+  refines per-feature row bitsets instead. It keeps the partition of the
+  last mask of each width it partitioned, and refines a mask from the
+  one below by a single feature when that one is its subset, which is
+  always so in ubb's order; other narrow masks it refines from all rows,
+  and other wide ones it hands to ``mce_cost``. It must equal
+  ``mce_cost`` bit for bit on every mask, in any order of calls.
 
 The CostEvaluator wraps a cost function with memoization, the
 computed-nodes counter shared by every solver comparison, wall-time
@@ -27,6 +31,7 @@ import json
 import math
 import random
 import time
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -197,8 +202,9 @@ def mce_cost(samples: SampleTable, x: int) -> float:
     The groups' terms are summed in the order of each group's first row.
 
     This is the reference definition. The ``mce`` instance kernel
-    (``_mce_kernel``) computes narrow masks another way and must return
-    the same float, bit for bit; wider masks it passes here.
+    (``_mce_kernel``) computes most masks another way and must return the
+    same float, bit for bit; the wide masks it cannot refine from its
+    slots it passes here.
     """
     check_element(x, samples.n)
     counts: dict[int, list[int]] = {}
@@ -224,73 +230,111 @@ def mce_cost(samples: SampleTable, x: int) -> float:
 
 
 # A mask of s features splits the rows into at most 2**s parts. The kernel
-# refines bitsets only while that is at most 64 parts (about 8 bytes per row)
-# and the table has at least 8 rows per possible part; past either bound the
-# bitset operations cost more than the row scan of mce_cost.
+# refines a mask from all rows, s passes over the parts, only while that is
+# at most 64 parts (about 8 bytes per row) and the table has at least 8 rows
+# per possible part; past either bound those passes cost more than the row
+# scan of mce_cost. The one pass from a slot costs less than the scan at
+# every width on 1000-row tables of 12 features.
 _KERNEL_MAX_WIDTH = 6
 _KERNEL_ROWS_PER_PART = 8
+# disjoint bitsets compare as their highest bits do, that is by first row
+_first_item = itemgetter(0)
 
 
 def _mce_kernel(samples: SampleTable) -> Callable[[int], float]:
     """The mce cost of a sample table, computed from row bitsets where that is cheaper.
 
-    Bit i of a feature's bitset is set when row i has the feature, and bit i
-    of the label bitset when row i has label 1. A narrow mask refines the
-    row partition one feature at a time; each part carries its bitset, its
-    row count and its label-1 count, and a one-row part leaves as a
-    singleton. The mixed parts' terms are summed in the order of each part's
-    first row, the order in which mce_cost meets its groups, so the float is
-    the same. The bitsets are built here, once per cost function, not when
+    Bit t-1-i of a feature's bitset is set when row i has the feature, and
+    the same bit of the label bitset when row i has label 1, so a part's
+    first row is its highest bit. A mask's row partition is kept as its
+    parts of two or more rows, each with its bitset, row count and label-1
+    count, plus a count of singletons; refining it by one more feature is
+    one pass over the parts, and a one-row piece leaves as a singleton.
+
+    Slot s holds the last mask of width s the kernel partitioned, with its
+    partition; slot 0 holds the empty mask from the start. A mask x of
+    width s whose slot s-1 holds a subset of x is refined from that slot by
+    the one missing feature. Any other mask is refined from all rows, one
+    feature at a time, while it has at most _KERNEL_MAX_WIDTH features and
+    the table _KERNEL_ROWS_PER_PART rows per possible part, and handed to
+    mce_cost otherwise, which writes no slot. ubb always refines from its
+    slot: after it evaluates p it evaluates only p's descendants, all wider
+    than p, before p's next child, so slot |p| still holds p then; from the
+    empty mask on, no ubb evaluation scans the rows.
+
+    The mixed parts' entropy terms come from a memo keyed by (row count,
+    label-1 count), filled with the expression mce_cost uses, and are added
+    one by one in the order of each part's first row, the order in which
+    mce_cost meets its groups, so the float is the same bit for bit. The
+    bitsets and the slots are built here, once per cost function, not when
     the table is.
     """
     n, t = samples.n, samples.t
     width = f"0{n}b"
-    rows = samples.rows[::-1]
-    # column j of the rendered rows holds feature n-1-j, row 0 lowest
+    rows = samples.rows
+    # column j of the rendered rows holds feature n-1-j, row 0 highest
     columns = zip(*(format(x, width) for x, _ in rows))
     features = [int("".join(column), 2) for column in columns][::-1]
     labels = int("".join("01"[y] for _, y in rows), 2)
     all_rows = ((1 << t) - 1, t, labels.bit_count())
+    slots: list[tuple[int, list, int] | None] = [None] * (n + 1)
+    slots[0] = (0, [all_rows], 0) if t > 1 else (0, [], 1)
+    terms: dict[tuple[int, int], float] = {}
+
+    def refine(parts: list, singletons: int, feature: int) -> tuple[list, int]:
+        refined = []
+        append = refined.append
+        for part in parts:
+            rows_in, count, ones = part
+            inside = rows_in & feature
+            count_in = inside.bit_count()
+            if count_in == 0 or count_in == count:
+                append(part)
+                continue
+            ones_in = (inside & labels).bit_count() if ones else 0
+            if count_in == 1:
+                singletons += 1
+            else:
+                append((inside, count_in, ones_in))
+            count_out = count - count_in
+            if count_out == 1:
+                singletons += 1
+            else:
+                append((rows_in ^ inside, count_out, ones - ones_in))
+        return refined, singletons
 
     def mce(x: int) -> float:
         check_element(x, n)
         s = x.bit_count()
-        if s > _KERNEL_MAX_WIDTH or t < _KERNEL_ROWS_PER_PART << s:
-            return mce_cost(samples, x)
-        parts = [all_rows]
-        singletons = 0
-        while x:
-            b = x & -x
-            x ^= b
-            feature = features[b.bit_length() - 1]
-            refined = []
-            for part in parts:
-                rows_in, count, ones = part
-                inside = rows_in & feature
-                count_in = inside.bit_count()
-                if count_in == 0 or count_in == count:
-                    refined.append(part)
-                    continue
-                ones_in = (inside & labels).bit_count()
-                for piece in (
-                    (inside, count_in, ones_in),
-                    (rows_in ^ inside, count - count_in, ones - ones_in),
-                ):
-                    if piece[1] == 1:
-                        singletons += 1
-                    else:
-                        refined.append(piece)
-            parts = refined
-        mixed = sorted(
-            ((rows_in & -rows_in).bit_length(), count, ones)
-            for rows_in, count, ones in parts
-            if 0 < ones < count
-        )
+        if s == 0:
+            _, parts, singletons = slots[0]
+        else:
+            slot = slots[s - 1]
+            if slot is not None and slot[0] & ~x == 0:
+                _, parts, singletons = slot
+                feature = features[(x ^ slot[0]).bit_length() - 1]
+                parts, singletons = refine(parts, singletons, feature)
+            elif s > _KERNEL_MAX_WIDTH or t < _KERNEL_ROWS_PER_PART << s:
+                return mce_cost(samples, x)
+            else:
+                _, parts, singletons = slots[0]
+                rest = x
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    parts, singletons = refine(parts, singletons, features[b.bit_length() - 1])
+            slots[s] = (x, parts, singletons)
+        mixed = [part for part in parts if 0 < part[2] < part[1]]
+        mixed.sort(key=_first_item, reverse=True)
         acc = 0.0
-        for _, total, c1 in mixed:
-            p0 = (total - c1) / total
-            p1 = c1 / total
-            acc += -(p0 * math.log2(p0) + p1 * math.log2(p1)) * (total / t)
+        for _, count, ones in mixed:
+            key = count, ones
+            term = terms.get(key)
+            if term is None:
+                p0 = (count - ones) / count
+                p1 = ones / count
+                term = terms[key] = -(p0 * math.log2(p0) + p1 * math.log2(p1)) * (count / t)
+            acc += term
         return singletons / t + acc
 
     return mce

@@ -26,7 +26,9 @@ are pushed only while uncovered on both sides (the seed is a member on its
 own side), and inside a DFS only lower_pruning and upper_pruning add
 restrictions, each covering the proper subsets (supersets) of the element
 it inserts; so tag 1 marks exactly the nodes such a call has removed, and
-tags never go back. The DFS pops dead nodes when they reach its stack top.
+tags never go back. The DFS pops dead nodes when they reach its stack top,
+and it ends when the stack empties: the graph left behind needs no flush,
+since every node with an empty flag is covered on that side by then.
 
 A is minimal (maximal), so the rest of its interval is gone already and
 its removal covers A alone: RestrictionSet.insert_seed does it without a
@@ -236,9 +238,15 @@ def dfs(
     raises RuntimeError instead of removing a region nobody examined.
 
     m_node's element must be uncovered, or a member, on either side: a
-    seed that reads tag 1 is dead on arrival. The end-of-search flush
-    snapshots the live nodes before it updates the restrictions, since its
-    own updates kill nodes it must still flush.
+    seed that reads tag 1 is dead on arrival.
+
+    The search ends with no flush of the graph. A node's flags change only
+    while it is pushed or is the stack top, and after each turn as the top
+    an empty flag inserts the node on that side unless the side covers it
+    already. A live node takes one more turn as the top before it leaves
+    the stack. So when the stack empties, every live node whose flag on a
+    side is empty is covered there, and an update at the end would insert
+    nothing.
     """
     lower_covered = r_lower.covered
     upper_covered = r_upper.covered
@@ -276,17 +284,6 @@ def dfs(
             upper_pruning(y, r_upper, on_event)
         if not y.lower_adjacent and not y.upper_adjacent:
             del graph[ye]
-    # snapshot the live nodes first: the flush's own updates kill nodes
-    live = [
-        node
-        for node in graph.values()
-        if lower_covered(node.element) != 1 and upper_covered(node.element) != 1
-    ]
-    for node in live:
-        if not node.lower_adjacent:
-            lower_pruning(node, r_lower, on_event)
-        if not node.upper_adjacent:
-            upper_pruning(node, r_upper, on_event)
 
 
 def tail_iterations(

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from ucurve.cost import (
 )
 from conftest import subset_sum_reference
 from ucurve.lattice import parse_element
+from ucurve.ubb import ubb_solve
 
 
 def brute_decomposable(instance):
@@ -249,11 +251,60 @@ class TestMce:
         assert 0.0 <= value <= 1.0 + 1e-12
 
 
+def ubb_preorder(n, element=0, first_bit=0):
+    """Every mask in ubb's order: each comes after the mask one feature smaller."""
+    yield element
+    for b in range(first_bit, n):
+        yield from ubb_preorder(n, element | 1 << b, b + 1)
+
+
+def neighbour_walk(n, seed):
+    """Masks as a floating search meets them, up and down.
+
+    Each step asks for every neighbour of the current mask, lowest bit
+    first, then moves to a seeded one of them.
+    """
+    rng = random.Random(seed)
+    x = 0
+    order = [x]
+    for _ in range(1 << min(n, 6)):
+        order.extend(x ^ 1 << b for b in range(n))
+        x ^= 1 << rng.randrange(n)
+    return order
+
+
 def kernel_equals_reference(table):
-    """The instance kernel against the reference scan on every mask, compared with ==."""
-    fn = mce_instance(table).cost_function()
-    for x in range(1 << table.n):
-        assert fn(x) == mce_cost(table, x), (x, fn(x), mce_cost(table, x))
+    """The instance kernel against the reference scan, compared with ==.
+
+    The kernel's slots depend on the masks it was asked for before, so each
+    order gets a fresh kernel: every mask in mask order, in ubb's preorder
+    and in a seeded shuffle, and a walk up and down across neighbours.
+    """
+    n = table.n
+    reference = [mce_cost(table, x) for x in range(1 << n)]
+    shuffled = list(range(1 << n))
+    random.Random(table.t).shuffle(shuffled)
+    orders = (range(1 << n), ubb_preorder(n), shuffled, neighbour_walk(n, table.t))
+    for order in orders:
+        fn = mce_instance(table).cost_function()
+        for x in order:
+            value = fn(x)
+            assert value == reference[x], (x, value, reference[x])
+
+
+def record_scans(monkeypatch):
+    """Make mce_cost record each mask it scans: (the list, the unpatched mce_cost)."""
+    import ucurve.cost as costmod
+
+    calls = []
+    reference = costmod.mce_cost
+
+    def counted(samples, x):
+        calls.append(x)
+        return reference(samples, x)
+
+    monkeypatch.setattr(costmod, "mce_cost", counted)
+    return calls, reference
 
 
 class TestMceKernel:
@@ -327,6 +378,38 @@ class TestMceKernel:
         del calls[:]
         mce_instance(generate_sample_table(12, 512, 4)).cost_function()(six)
         assert calls == []
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_ubb_never_scans_the_rows(self, monkeypatch, seed):
+        # ubb evaluates a mask after its subset one feature smaller and after
+        # no other mask of that width, so it always refines from the slot below
+        calls, _ = record_scans(monkeypatch)
+        fn = mce_instance(generate_sample_table(12, 1000, seed)).cost_function()
+        order = []
+
+        def recorded(x):
+            order.append(x)
+            return fn(x)
+
+        ubb_solve(12, recorded)
+        assert max(x.bit_count() for x in order) > 6
+        assert calls == []
+
+    def test_a_sibling_in_the_slot_below_is_not_refined(self, monkeypatch):
+        calls, reference = record_scans(monkeypatch)
+        table = generate_sample_table(12, 1000, 4)
+        fn = mce_instance(table).cost_function()
+        # slot 1 holds {1} when {0, 2} comes: refined from all rows instead
+        for x in (0b1, 0b10, 0b101):
+            assert fn(x) == reference(table, x)
+        # slot 6 holds features 0-5 when features 1-7 come: too wide to
+        # refine from all rows, so scanned
+        six, sibling = 0b111111, 0b11111110
+        for x in (six, six | 1 << 6):
+            assert fn(x) == reference(table, x)
+        assert calls == []
+        assert fn(sibling) == reference(table, sibling)
+        assert calls == [sibling]
 
     @pytest.mark.parametrize("x", [-1, 1 << 12, 1 << 40])
     def test_out_of_range_mask_rejected(self, x):

@@ -222,16 +222,15 @@ class TestDfs:
     @pytest.mark.parametrize("bitmap", [True, False])
     def test_dead_nodes_are_never_expanded_or_flushed(self, monkeypatch, bitmap):
         # a pruning call kills the visited elements it covers without making
-        # them members (tag 1); dfs must skip them on its stack and leave them
-        # out of the end-of-search flush, on both coverage paths
+        # them members (tag 1); dfs must skip them on its stack and never hand
+        # them to a pruning call again, on both coverage paths
         if not bitmap:
             monkeypatch.setattr(ucurve.lattice, "_ACCEL_MAX_DEGREE", 0)
         pushed, killed, expanded_dead, flushed_dead = set(), set(), [], []
         kills = 0
 
         def watch_pruning(prune):
-            # the end-of-search flush restricts through these calls too, so a
-            # dead node handed to one was flushed (or pruned) after its death
+            # a dead node handed to one of these calls was pruned after its death
             def watched(y, r, on_event=None):
                 if y.element in killed:
                     flushed_dead.append(y.element)

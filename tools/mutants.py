@@ -42,6 +42,9 @@ BUDGET = [
     "tests/test_cost.py::TestEvaluator::test_budget_three_allows_three_distinct",
 ]
 DEAD_NODES = ["tests/test_ucs.py::TestDfs::test_dead_nodes_are_never_expanded_or_flushed"]
+MCE_WIDE = [
+    "tests/test_cost.py::TestMceKernel::test_equals_reference_on_every_mask_of_a_wide_table[3]"
+]
 CURSOR = [
     "tests/test_lattice.py::TestMinMaxElements::test_cursor_steps_to_the_bit_reversed_neighbour",
     "tests/test_lattice.py::TestMinMaxElements::test_cursor_matches_greedy_and_enumeration",
@@ -158,11 +161,48 @@ MUTANTS = [
         DEAD_NODES,
     ),
     (
-        "a flush that keeps dead nodes",
-        UCS,
-        "        if lower_covered(node.element) != 1 and upper_covered(node.element) != 1\n",
+        "mce mixed parts summed unsorted",
+        COST,
+        "        mixed.sort(key=_first_item, reverse=True)\n",
         "",
-        DEAD_NODES,
+        MCE_WIDE,
+    ),
+    (
+        "mce singletons kept as parts",
+        COST,
+        "            if count_in == 1:\n"
+        "                singletons += 1\n"
+        "            else:\n"
+        "                append((inside, count_in, ones_in))\n"
+        "            count_out = count - count_in\n"
+        "            if count_out == 1:\n"
+        "                singletons += 1\n"
+        "            else:\n"
+        "                append((rows_in ^ inside, count_out, ones - ones_in))\n",
+        "            append((inside, count_in, ones_in))\n"
+        "            append((rows_in ^ inside, count - count_in, ones - ones_in))\n",
+        ["tests/test_cost.py::TestMceKernel::test_equals_reference_on_small_tables"],
+    ),
+    (
+        "mce refinement from the slot below without the subset check",
+        COST,
+        "if slot is not None and slot[0] & ~x == 0:",
+        "if slot is not None:",
+        ["tests/test_cost.py::TestMceKernel::test_a_sibling_in_the_slot_below_is_not_refined"],
+    ),
+    (
+        "mce one-row table whose width-0 slot holds its row as a part",
+        COST,
+        "slots[0] = (0, [all_rows], 0) if t > 1 else (0, [], 1)",
+        "slots[0] = (0, [all_rows], 0)",
+        ["tests/test_cost.py::TestMceKernel::test_equals_reference_on_edge_tables[rows0]"],
+    ),
+    (
+        "mce term memo keyed by the row count alone",
+        COST,
+        "            key = count, ones\n",
+        "            key = count\n",
+        MCE_WIDE,
     ),
 ]
 
