@@ -14,11 +14,11 @@ Three instance kinds are supported:
   U-shaped on empirical data. ``mce_cost`` is the reference definition,
   a scan over every row. The instance's cost function is a kernel that
   refines per-feature row bitsets instead. It keeps the partition of the
-  last mask of each width it partitioned, and refines a mask from the
-  one below by a single feature when that one is its subset, which is
-  always so in ubb's order; other narrow masks it refines from all rows,
-  and other wide ones it hands to ``mce_cost``. It must equal
-  ``mce_cost`` bit for bit on every mask, in any order of calls.
+  last mask of each width it partitioned, and refines each mask by the
+  features it lacks from the widest of those that is its subset; a wide
+  mask that is not one feature over such a subset goes to ``mce_cost``.
+  It must equal ``mce_cost`` bit for bit on every mask, in any order of
+  calls.
 
 The CostEvaluator wraps a cost function with memoization, the
 computed-nodes counter shared by every solver comparison, wall-time
@@ -54,11 +54,14 @@ class SampleTable(FrozenRecord):
 
     A frozen value: built by keyword or position, compared and hashed by
     its fields, and never changed after the constructor has checked it.
+    The rows are stored as a tuple of pairs, so a list the caller changes
+    later is not the table's.
     """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: tuple[tuple[int, int], ...]) -> None:
+        rows = tuple(map(tuple, rows))
         self._init(n=n, rows=rows)
         check_degree(n)
         if not rows:
@@ -78,9 +81,10 @@ class SampleTable(FrozenRecord):
 class Instance(FrozenRecord):
     """A cost input of one kind: subset_sum, explicit or mce.
 
-    A frozen value like SampleTable. Building one checks its fields and
-    precomputes nothing; cost_function() builds whatever its kind's kernel
-    needs each time it is called, so once per CostEvaluator.
+    A frozen value like SampleTable; weights and costs are stored as
+    tuples. Building one checks its fields and precomputes nothing;
+    cost_function() builds whatever its kind's kernel needs each time it is
+    called, so once per CostEvaluator.
     """
 
     __slots__ = ("n", "kind", "weights", "target", "costs", "samples")
@@ -94,6 +98,10 @@ class Instance(FrozenRecord):
         costs: tuple[float, ...] | None = None,  # indexed by element mask
         samples: SampleTable | None = None,
     ) -> None:
+        if weights is not None:
+            weights = tuple(weights)
+        if costs is not None:
+            costs = tuple(costs)
         self._init(n=n, kind=kind, weights=weights, target=target, costs=costs, samples=samples)
         check_degree(n)
         if kind == SUBSET_SUM:
@@ -229,12 +237,12 @@ def mce_cost(samples: SampleTable, x: int) -> float:
     return singletons / t + acc
 
 
-# A mask of s features splits the rows into at most 2**s parts. The kernel
-# refines a mask from all rows, s passes over the parts, only while that is
-# at most 64 parts (about 8 bytes per row) and the table has at least 8 rows
-# per possible part; past either bound those passes cost more than the row
-# scan of mce_cost. The one pass from a slot costs less than the scan at
-# every width on 1000-row tables of 12 features.
+# A mask of s features splits the rows into at most 2**s parts. Refining a
+# mask by several features, up to s passes over the parts, pays only while
+# that is at most 64 parts (about 8 bytes per row) and the table has at
+# least 8 rows per possible part; past either bound a scan by mce_cost costs
+# less. One pass, from the slot a feature smaller, costs less than the scan
+# at every width on 1000-row tables of 12 features.
 _KERNEL_MAX_WIDTH = 6
 _KERNEL_ROWS_PER_PART = 8
 # disjoint bitsets compare as their highest bits do, that is by first row
@@ -252,22 +260,22 @@ def _mce_kernel(samples: SampleTable) -> Callable[[int], float]:
     one pass over the parts, and a one-row piece leaves as a singleton.
 
     Slot s holds the last mask of width s the kernel partitioned, with its
-    partition; slot 0 holds the empty mask from the start. A mask x of
-    width s whose slot s-1 holds a subset of x is refined from that slot by
-    the one missing feature. Any other mask is refined from all rows, one
-    feature at a time, while it has at most _KERNEL_MAX_WIDTH features and
-    the table _KERNEL_ROWS_PER_PART rows per possible part, and handed to
-    mce_cost otherwise, which writes no slot. ubb always refines from its
-    slot: after it evaluates p it evaluates only p's descendants, all wider
-    than p, before p's next child, so slot |p| still holds p then; from the
-    empty mask on, no ubb evaluation scans the rows.
+    partition; slot 0 holds the empty mask, all rows, from the start. A mask
+    x of width s walks down from slot s-1 to the widest slot holding a
+    subset of x (slot 0 at the latest), is refined from it by the features
+    that subset lacks, lowest first, and fills slot s. Only when that slot
+    is not s-1 and x has more than _KERNEL_MAX_WIDTH features, or the table
+    fewer than _KERNEL_ROWS_PER_PART rows per possible part, is x handed to
+    mce_cost instead, which writes no slot. ubb always refines from slot
+    s-1: after it evaluates p it evaluates only p's descendants, all wider
+    than p, before p's next child, so slot |p| still holds p then.
 
-    The mixed parts' entropy terms come from a memo keyed by (row count,
-    label-1 count), filled with the expression mce_cost uses, and are added
-    one by one in the order of each part's first row, the order in which
-    mce_cost meets its groups, so the float is the same bit for bit. The
-    bitsets and the slots are built here, once per cost function, not when
-    the table is.
+    A mask's parts do not depend on the order of its refinements. The mixed
+    parts' entropy terms come from a memo keyed by (row count, label-1
+    count), filled with the expression mce_cost uses, and are added one by
+    one in the order of each part's first row, the order in which mce_cost
+    meets its groups, so the float is the same bit for bit. The bitsets and
+    the slots are built here, once per cost function, not when the table is.
     """
     n, t = samples.n, samples.t
     width = f"0{n}b"
@@ -306,24 +314,18 @@ def _mce_kernel(samples: SampleTable) -> Callable[[int], float]:
     def mce(x: int) -> float:
         check_element(x, n)
         s = x.bit_count()
-        if s == 0:
-            _, parts, singletons = slots[0]
-        else:
-            slot = slots[s - 1]
-            if slot is not None and slot[0] & ~x == 0:
-                _, parts, singletons = slot
-                feature = features[(x ^ slot[0]).bit_length() - 1]
-                parts, singletons = refine(parts, singletons, feature)
-            elif s > _KERNEL_MAX_WIDTH or t < _KERNEL_ROWS_PER_PART << s:
-                return mce_cost(samples, x)
-            else:
-                _, parts, singletons = slots[0]
-                rest = x
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    parts, singletons = refine(parts, singletons, features[b.bit_length() - 1])
-            slots[s] = (x, parts, singletons)
+        w = max(s - 1, 0)
+        while slots[w] is None or slots[w][0] & ~x:
+            w -= 1
+        base, parts, singletons = slots[w]
+        if w < s - 1 and (s > _KERNEL_MAX_WIDTH or t < _KERNEL_ROWS_PER_PART << s):
+            return mce_cost(samples, x)
+        rest = x ^ base
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            parts, singletons = refine(parts, singletons, features[b.bit_length() - 1])
+        slots[s] = (x, parts, singletons)
         mixed = [part for part in parts if 0 < part[2] < part[1]]
         mixed.sort(key=_first_item, reverse=True)
         acc = 0.0
@@ -634,8 +636,13 @@ def save_instance(instance: Instance, path: str | Path) -> None:
 
 
 def load_instance(path: str | Path) -> Instance:
+    return parse_instance(Path(path).read_text(encoding="utf-8"), path)
+
+
+def parse_instance(text: str, path: str | Path) -> Instance:
+    """The instance in the JSON form save_instance writes; errors name path."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -680,7 +687,12 @@ def save_samples(table: SampleTable, path: str | Path) -> None:
 
 
 def load_samples(path: str | Path) -> SampleTable:
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
+    return parse_samples(Path(path).read_text(encoding="utf-8"), path)
+
+
+def parse_samples(text: str, path: str | Path) -> SampleTable:
+    """The table in the text form save_samples writes; errors name path."""
+    raw = text.splitlines()
     lines = [line.strip() for line in raw if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty sample file")

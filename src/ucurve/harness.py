@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import cost as costmod
-from .cost import Instance, load_instance, load_samples, mce_instance, save_instance, save_samples
+from .cost import Instance, mce_instance, parse_instance, parse_samples, save_instance, save_samples
 from .lattice import MAX_DEGREE
 from .oracle import EXHAUSTIVE_MAX_DEGREE, exhaustive_solve, legacy_ucurve_solve
 from .record import Record
@@ -238,13 +238,15 @@ def _instance_name(cost_kind: str, size: int, idx: int) -> str:
 
 
 def load_instance_checked(path: Path, expected_hash: str) -> Instance:
+    """The instance in path, parsed from the one read whose hash is checked."""
     data = path.read_bytes()
     digest = hashlib.sha256(data).hexdigest()
     if digest != expected_hash:
         raise ValueError(f"{path}: content hash mismatch, instance file changed between steps")
+    text = data.decode("utf-8")
     if path.suffix == ".txt":
-        return mce_instance(load_samples(path))
-    return load_instance(path)
+        return mce_instance(parse_samples(text, path))
+    return parse_instance(text, path)
 
 
 # ---------------------------------------------------------------------------

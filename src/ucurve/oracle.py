@@ -121,28 +121,23 @@ def _minimum_exhausting(
     stacked = {m}
     while stack:
         top = stack[-1]
+        pushed = False
         # a top that earlier pops removed from the search space is not
         # expanded; it is exhausted as-is (this is what makes the pop step
         # able to delete never-visited regions)
-        if r_lower.covered(top) or r_upper.covered(top):
-            stack.pop()
-            stacked.discard(top)
-            r_lower.update(top)
-            r_upper.update(top)
-            continue
-        c_top = ev.evaluate(top)
-        pushed = False
-        for b in range(n):
-            y = top ^ (1 << b)
-            if y in stacked:
-                continue
-            if r_lower.covered(y) or r_upper.covered(y):
-                continue
-            c_y = ev.evaluate(y)
-            if c_y <= c_top:
-                stack.append(y)
-                stacked.add(y)
-                pushed = True
+        if not (r_lower.covered(top) or r_upper.covered(top)):
+            c_top = ev.evaluate(top)
+            for b in range(n):
+                y = top ^ (1 << b)
+                if y in stacked:
+                    continue
+                if r_lower.covered(y) or r_upper.covered(y):
+                    continue
+                c_y = ev.evaluate(y)
+                if c_y <= c_top:
+                    stack.append(y)
+                    stacked.add(y)
+                    pushed = True
         if not pushed:
             stack.pop()
             stacked.discard(top)

@@ -402,6 +402,10 @@ class TestMceKernel:
         # slot 1 holds {1} when {0, 2} comes: refined from all rows instead
         for x in (0b1, 0b10, 0b101):
             assert fn(x) == reference(table, x)
+        # slot 3 is empty and slot 2 holds {0, 2} when {0, 1, 2, 3} comes:
+        # refined from slot 2 by features 1 and 3, with no scan
+        assert fn(0b1111) == reference(table, 0b1111)
+        assert calls == []
         # slot 6 holds features 0-5 when features 1-7 come: too wide to
         # refine from all rows, so scanned
         six, sibling = 0b111111, 0b11111110

@@ -6,7 +6,13 @@ import pytest
 
 from ucurve import harness
 from ucurve.cli import main
-from ucurve.cost import generate_subset_sum_instance
+from ucurve.cost import (
+    generate_sample_table,
+    generate_subset_sum_instance,
+    mce_instance,
+    save_instance,
+    save_samples,
+)
 from ucurve.harness import (
     ExperimentConfig,
     derive_seed,
@@ -111,6 +117,37 @@ class TestInstanceFiles:
         victim.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="hash mismatch"):
             load_instance_checked(victim, manifest[name])
+
+    @pytest.mark.parametrize("suffix", [".json", ".txt"])
+    def test_the_bytes_hashed_are_the_bytes_parsed(self, tmp_path, monkeypatch, suffix):
+        # every read of the file after the first returns another instance
+        if suffix == ".json":
+            first, second = (generate_subset_sum_instance(5, seed) for seed in (1, 2))
+            save, expected = save_instance, first
+        else:
+            first, second = (generate_sample_table(5, 30, seed) for seed in (1, 2))
+            save, expected = save_samples, mce_instance(first)
+        path, other = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
+        save(first, path)
+        save(second, other)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        swapped = other.read_bytes()
+        real_read_bytes = Path.read_bytes
+        reads = []
+
+        def read_bytes(self):
+            if self != path:
+                return real_read_bytes(self)
+            reads.append(self)
+            return real_read_bytes(self) if len(reads) == 1 else swapped
+
+        def read_text(self, encoding=None, *args, **kwargs):
+            return read_bytes(self).decode(encoding or "utf-8")
+
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        monkeypatch.setattr(Path, "read_text", read_text)
+        assert load_instance_checked(path, digest) == expected
+        assert len(reads) == 1
 
 
 class TestRunOptimal:

@@ -80,6 +80,22 @@ class TestFrozenValues:
         value = make()
         assert pickle.loads(pickle.dumps(value)) == value
 
+    def test_lists_given_to_the_constructor_are_copied(self):
+        rows, weights, costs = [[1, 0], [2, 1]], [1, 2, 3], [0.5, 1.0, 2.0, 3.0]
+        built = (
+            SampleTable(n=2, rows=rows),
+            Instance(n=3, kind="subset_sum", weights=weights, target=2),
+            Instance(n=2, kind="explicit", costs=costs),
+        )
+        rows[0][0] = 3
+        rows.append([0, 0])
+        weights[0] = -1
+        costs[0] = float("nan")
+        expected = (table(), subset_sum(), Instance(n=2, kind="explicit", costs=(0.5, 1.0, 2.0, 3.0)))
+        for value, same in zip(built, expected):
+            assert value == same
+            assert hash(value) == hash(same)
+
     def test_replace_checks_the_copy(self):
         instance = subset_sum()
         assert instance.replace(target=5) == subset_sum(target=5)
