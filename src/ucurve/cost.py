@@ -22,7 +22,8 @@ Three instance kinds are supported:
 
 The CostEvaluator wraps a cost function with memoization, the
 computed-nodes counter shared by every solver comparison, wall-time
-accounting, and the two stop criteria (node budget, cost target).
+accounting, and the two stop criteria (node budget, cost target); it is
+also the context manager that opens, times and ends each solver run.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ class Instance(FrozenRecord):
                 raise ValueError("weights and target must be ints")
             if any(w < 0 for w in weights) or target < 0:
                 raise ValueError("weights and target must be non-negative")
+            if not is_finite_number(max(target, sum(weights))):
+                raise ValueError("weights and target must sum to a finite float")
         elif kind == EXPLICIT:
             if n > MAX_EXPLICIT_DEGREE:
                 raise ValueError(f"explicit instances capped at degree {MAX_EXPLICIT_DEGREE}")
@@ -175,12 +178,13 @@ def _subset_sum_kernel(weights: tuple[int, ...], target: int) -> Callable[[int],
 
 
 def is_finite_number(value) -> bool:
-    """True for an int or float that is neither NaN nor infinite (bool excluded)."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    """True for an int or float (not a bool) that is not NaN, infinite or past float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def checked_cost(fn: Callable[[int], float]) -> Callable[[int], float]:
@@ -351,20 +355,26 @@ class TargetReached(Exception):
 
 
 class CostEvaluator:
-    """Memoizing cost oracle with instrumentation and stop criteria.
+    """Memoizing cost oracle with instrumentation and stop criteria; one per run.
 
     The memo maps each element evaluated to its cost; it is the run's one
     record of what it computed, and the run's report (best cost, minima)
     is drawn from it. computed_nodes equals the number of distinct
     elements evaluated; repeat lookups hit the memo and do not count.
-    Both stop criteria raise, and report.SolverRun catches either: the
-    call that would exceed a node budget raises BudgetExhausted instead,
-    and a fresh value at or below the cost target is memoized, then
-    raises TargetReached. The criteria and the degree are checked before
-    the cost function is built, else ValueError: a budget must be a
-    non-negative int, a target a number other than NaN (bools are
-    neither; -inf never fires, inf fires at once), and n, needed for a
-    bare callable, must equal an Instance's degree.
+    Both stop criteria raise: the call that would exceed a node budget
+    raises BudgetExhausted instead, and a fresh value at or below the cost
+    target is memoized, then raises TargetReached. The criteria and the
+    degree are checked before the cost function is built, else
+    ValueError: a budget must be a non-negative int, a target a number
+    other than NaN (bools are neither; -inf never fires, inf fires at
+    once), and n, needed for a bare callable, must equal an Instance's
+    degree.
+
+    It is also the run contract: a solver builds it before anything else
+    reads n, searches inside ``with ev:`` and returns report.conclude(name,
+    ev, ...). Entering sets started, the run's clock; leaving sets stop to
+    the BudgetExhausted or TargetReached that ended the block, else None,
+    and swallows only those two.
 
     A bare callable is wrapped by checked_cost, so a non-finite or
     non-numeric cost raises ValueError. Instance cost functions are finite
@@ -379,6 +389,8 @@ class CostEvaluator:
         "node_budget",
         "cost_target",
         "elapsed_in_cost",
+        "started",
+        "stop",
     )
 
     def __init__(
@@ -433,6 +445,14 @@ class CostEvaluator:
         if self.cost_target is not None and value <= self.cost_target:
             raise TargetReached
         return value
+
+    def __enter__(self) -> CostEvaluator:
+        self.started = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.stop = exc if isinstance(exc, (BudgetExhausted, TargetReached)) else None
+        return self.stop is not None
 
 
 class Witness(NamedTuple):
@@ -672,8 +692,8 @@ def parse_instance(text: str, path: str | Path) -> Instance:
         costs = [0.0] * size
         for key, value in raw.items():
             m = parse_element(key, n)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{path}: cost of {key!r} must be a number")
+            if not is_finite_number(value):
+                raise ValueError(f"{path}: cost of {key!r} must be a finite number")
             costs[m] = float(value)
         return Instance(n=n, kind=EXPLICIT, costs=tuple(costs))
     raise ValueError(f"{path}: unknown instance kind {kind!r}")

@@ -117,6 +117,8 @@ class ExperimentConfig(Record):
         _check_int("instances_per_size", self.instances_per_size, 1)
         _check_int("seed", self.seed)
         _check_int("weight_max", self.weight_max, 1)
+        if not costmod.is_finite_number(max(self.sizes) * self.weight_max):
+            raise ValueError("weight_max times the largest size must be a finite float")
         _check_int("sample_rows", self.sample_rows, 1)
         _check_int("jobs", self.jobs, 1)
         if self.mode not in (OPTIMAL, SUBOPTIMAL, DYNAMICS):

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .cost import CostEvaluator, Instance, generate_decomposable_explicit
 from .lattice import LOWER, UPPER, RestrictionSet, maximal_element, minimal_element
-from .report import SearchReport, SolverRun
+from .report import SearchReport, conclude
 from .ucs import check_p_up
 
 EXHAUSTIVE_MAX_DEGREE = 24
@@ -28,13 +28,13 @@ def exhaustive_solve(
     cost_target: float | None = None,
 ) -> SearchReport:
     """Evaluate all 2**n subsets and return every minimum."""
-    run = SolverRun("exhaustive", n, cost, node_budget, cost_target)
+    ev = CostEvaluator(cost, n, node_budget, cost_target)
     if n > EXHAUSTIVE_MAX_DEGREE:
         raise ValueError(f"exhaustive search is capped at degree {EXHAUSTIVE_MAX_DEGREE}")
-    with run as ev:
+    with ev:
         for m in range(1 << n):
             ev.evaluate(m)
-    return run.report()
+    return conclude("exhaustive", ev)
 
 
 def legacy_ucurve_solve(
@@ -59,11 +59,11 @@ def legacy_ucurve_solve(
     up when random() < p_up, p_up checked before anything is evaluated.
     """
     check_p_up(p_up)
-    run = SolverRun("ucurve-legacy", n, cost, node_budget, cost_target)
+    ev = CostEvaluator(cost, n, node_budget, cost_target)
     draw = random.Random(seed).random
     r_lower = RestrictionSet(LOWER, n)
     r_upper = RestrictionSet(UPPER, n)
-    with run as ev:
+    with ev:
         while True:
             going_up = draw() < p_up
             if going_up:
@@ -77,7 +77,7 @@ def legacy_ucurve_solve(
                 continue
             m = _chain_minimum(a, n, ev, r_lower, r_upper, going_up)
             _minimum_exhausting(m, n, ev, r_lower, r_upper)
-    return run.report()
+    return conclude("ucurve-legacy", ev)
 
 
 def _chain_minimum(

@@ -1,16 +1,16 @@
-"""The run contract and the report shared by every solver.
+"""The report shared by every solver, and conclude, its one builder.
 
-Each solver opens a SolverRun, searches with the evaluator it yields and
-returns its report(): the evaluator, the clock, both stops and the
-report live here, once for all of them.
+Each solver builds its cost.CostEvaluator first, searches inside
+``with ev:`` (the evaluator keeps the run's clock and the stop that ended
+it) and returns conclude(name, ev, ...), which draws the report from the
+evaluator's memo, clock and stop.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable
 
-from .cost import BudgetExhausted, CostEvaluator, Instance, TargetReached
+from .cost import BudgetExhausted, CostEvaluator, TargetReached
 from .lattice import render_element
 from .record import Record
 
@@ -89,56 +89,22 @@ class SearchReport(Record):
         }
 
 
-class SolverRun:
-    """The contract of one solver run: evaluator, clock and both stops.
-
-    Built before the search, it builds the run's own CostEvaluator, which
-    checks the degree and both stop criteria before anything is
-    evaluated, so a run never shares an evaluator. Entering it starts the
-    clock and yields the evaluator; a BudgetExhausted or TargetReached
-    raised in the block ends the block, and the report says which.
-    """
-
-    def __init__(
-        self,
-        algorithm: str,
-        n: int,
-        cost: Instance | Callable[[int], float],
-        node_budget: int | None = None,
-        cost_target: float | None = None,
-    ) -> None:
-        self.algorithm = algorithm
-        self.evaluator = CostEvaluator(cost, n=n, node_budget=node_budget, cost_target=cost_target)
-
-    def __enter__(self) -> CostEvaluator:
-        self.started = time.perf_counter()
-        return self.evaluator
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop = exc if isinstance(exc, (BudgetExhausted, TargetReached)) else None
-        return self.stop is not None
-
-    def report(self, dfs_calls: int = 0, minmax_calls: int = 0) -> SearchReport:
-        ev, stop = self.evaluator, self.stop
-        return conclude(self.algorithm, ev, self.started, dfs_calls, minmax_calls, stop)
-
-
 def conclude(
     algorithm: str,
     evaluator: CostEvaluator,
-    started: float,
     dfs_calls: int = 0,
     minmax_calls: int = 0,
-    stop: Exception | None = None,
 ) -> SearchReport:
-    """Build the report of a run from its evaluator's memo and the stop that ended it.
+    """Build the report of a run from its evaluator's memo, clock and stop.
 
-    The best cost is the least in the memo and the minima are its elements
-    of that cost, so a budget stop reports the best found so far. stop is
-    the exception SolverRun caught, or None; it sets budget_exhausted or
+    Called after the solver's ``with evaluator:`` block. The best cost is
+    the least in the memo and the minima are its elements of that cost, so
+    a budget stop reports the best found so far. The evaluator's stop, the
+    exception that ended the block or None, sets budget_exhausted or
     target_reached.
     """
-    wall = time.perf_counter() - started
+    wall = time.perf_counter() - evaluator.started
+    stop = evaluator.stop
     n = evaluator.n
     memo = evaluator.memo
     if memo:

@@ -7,7 +7,7 @@ from typing import Callable
 
 from .cost import CostEvaluator, Instance
 from .lattice import full_set
-from .report import SearchReport, SolverRun
+from .report import SearchReport, conclude
 
 
 def _best_flip(current: int, bits: int, evaluator: CostEvaluator) -> int:
@@ -52,9 +52,9 @@ def sffs_solve(
     ends when the forward frontier reaches the full set; the result is the
     global best over all cardinalities. Suboptimal by design.
     """
-    run = SolverRun("sffs", n, cost, node_budget, cost_target)
+    ev = CostEvaluator(cost, n, node_budget, cost_target)
     full = full_set(n)
-    with run as ev:
+    with ev:
         current = 0
         best_at = {0: ev.evaluate(0)}
         while current != full:
@@ -72,4 +72,4 @@ def sffs_solve(
                     best_at[k] = c_candidate
                 else:
                     break
-    return run.report()
+    return conclude("sffs", ev)

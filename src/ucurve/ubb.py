@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .cost import CostEvaluator, Instance
-from .report import SearchReport, SolverRun
+from .report import SearchReport, conclude
 
 
 def ubb_solve(
@@ -23,10 +23,10 @@ def ubb_solve(
     node_budget: int | None = None,
     cost_target: float | None = None,
 ) -> SearchReport:
-    run = SolverRun("ubb", n, cost, node_budget, cost_target)
-    with run as ev:
+    ev = CostEvaluator(cost, n, node_budget, cost_target)
+    with ev:
         _descend(0, ev.evaluate(0), 0, n, ev)
-    return run.report()
+    return conclude("ubb", ev)
 
 
 def _descend(element: int, element_cost: float, first_bit: int, n: int, ev: CostEvaluator) -> None:

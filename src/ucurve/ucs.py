@@ -19,16 +19,16 @@ licenses the interval removal. unverified holds the bits not yet examined
 for expansion.
 
 A pruning step costs what it changes, not what the run has seen: it only
-updates a restriction set, and the DFS graph learns of it lazily. A graph
+updates a restriction set, and the DFS learns of it lazily. A stacked
 node is dead iff either side's coverage tag for its element is 1 (covered
-but not a member) or the graph no longer maps its element to it. Nodes
-are pushed only while uncovered on both sides (the seed is a member on its
-own side), and inside a DFS only lower_pruning and upper_pruning add
-restrictions, each covering the proper subsets (supersets) of the element
-it inserts; so tag 1 marks exactly the nodes such a call has removed, and
-tags never go back. The DFS pops dead nodes when they reach its stack top,
-and it ends when the stack empties: the graph left behind needs no flush,
-since every node with an empty flag is covered on that side by then.
+but not a member). Nodes are pushed only while uncovered on both sides
+(the seed is a member on its own side), and inside a DFS only
+lower_pruning and upper_pruning add restrictions, each covering the proper
+subsets (supersets) of the element it inserts; so tag 1 marks exactly the
+nodes such a call has removed, and tags never go back. The tags alone
+decide liveness (dfs gives the proof). The DFS pops dead nodes when they
+reach its stack top, and it ends when the stack empties, with no flush:
+every node with an empty flag is covered on that side by then.
 
 A is minimal (maximal), so the rest of its interval is gone already and
 its removal covers A alone: RestrictionSet.insert_seed does it without a
@@ -50,8 +50,9 @@ A run never shares state. Each node reads its cost from the evaluator
 once, when it is pushed (a DFS seed when the main loop picks it), and the
 pruning rules read it off the node; the evaluator's memo is the run's one
 record of what it computed, and the report is drawn from it. ucs_solve,
-like every solver, runs inside report.SolverRun, which builds the
-evaluator, keeps the clock and catches both stops the evaluator raises.
+like every solver, builds its evaluator before anything else reads n and
+searches inside ``with ev:``; the evaluator keeps the clock and ends the
+run at either stop it raises, and report.conclude builds the report.
 The optional on_event callback receives one dict per push / pop /
 restriction update, which is what the CLI --trace flag and the
 instrumented no-minimum-loss tests consume; a run stopped by its cost
@@ -72,7 +73,7 @@ from .lattice import (
     maximal_element,
     minimal_element,
 )
-from .report import SearchReport, SolverRun
+from .report import SearchReport, conclude
 
 EventCallback = Callable[[dict], None]
 
@@ -108,15 +109,16 @@ def check_p_up(p_up: float) -> None:
 
 def select_unvisited_adjacent(
     y: Node,
-    graph: dict[int, Node],
+    graph: set[int],
     r_lower: RestrictionSet,
     r_upper: RestrictionSet,
 ) -> Node | None:
     """Pop unverified bits of y (lowest first) until an expandable neighbour shows.
 
     Returns a fresh node (nothing verified, nothing known covered) for the
-    first neighbour that is both inside the current space and unvisited, or
-    None when y's unverified set empties.
+    first neighbour that is both inside the current space and not in graph,
+    the elements this DFS has pushed, or None when y's unverified set
+    empties.
     Along the way y's flags are maintained: a neighbour found covered by the
     matching restriction side clears its bit from y's flag (visited but
     uncovered neighbours clear nothing).
@@ -240,7 +242,16 @@ def dfs(
     m_node's element must be uncovered, or a member, on either side: a
     seed that reads tag 1 is dead on arrival.
 
-    The search ends with no flush of the graph. A node's flags change only
+    A stacked node is live iff neither side reads tag 1 for it: a node whose
+    flags are both empty after its turn has left the stack. It stays only
+    by pushing a child x no costlier than itself, and then its flag on x's
+    side still holds x's bit. That bit is cleared when the neighbour is
+    found covered, and then it is not pushed; node_pruning of x and the
+    node empties only the flag away from x; and a flag emptied on x's side
+    before would make the node a member there, and x covered. graph keeps
+    every element pushed, so none is pushed twice.
+
+    The search ends with no flush. A node's flags change only
     while it is pushed or is the stack top, and after each turn as the top
     an empty flag inserts the node on that side unless the side covers it
     already. A live node takes one more turn as the top before it leaves
@@ -252,12 +263,12 @@ def dfs(
     upper_covered = r_upper.covered
     if m_node.cost is None:
         m_node.cost = evaluator.evaluate(m_node.element)
-    graph: dict[int, Node] = {m_node.element: m_node}
+    graph = {m_node.element}
     stack: list[Node] = [m_node]
     while stack:
         y = stack[-1]
         ye = y.element
-        if lower_covered(ye) == 1 or upper_covered(ye) == 1 or graph.get(ye) is not y:
+        if lower_covered(ye) == 1 or upper_covered(ye) == 1:
             stack.pop()
             continue
         cy = y.cost
@@ -269,7 +280,7 @@ def dfs(
                     on_event({"event": "pop", "element": ye})
                 break
             stack.append(x)
-            graph[x.element] = x
+            graph.add(x.element)
             cx = x.cost = evaluator.evaluate(x.element)
             if on_event:
                 on_event({"event": "push", "element": x.element, "cost": cx})
@@ -282,8 +293,6 @@ def dfs(
         if not y.upper_adjacent and not upper_covered(ye):
             check_flag(r_upper, ye)
             upper_pruning(y, r_upper, on_event)
-        if not y.lower_adjacent and not y.upper_adjacent:
-            del graph[ye]
 
 
 def tail_iterations(
@@ -324,14 +333,14 @@ def ucs_solve(
     checked before anything is evaluated.
     """
     check_p_up(p_up)
-    run = SolverRun("ucs", n, cost, node_budget, cost_target)
+    ev = CostEvaluator(cost, n, node_budget, cost_target)
     draw = random.Random(seed).random
     full = (1 << n) - 1
     r_lower = RestrictionSet(LOWER, n)
     r_upper = RestrictionSet(UPPER, n)
     dfs_calls = 0
     minmax_calls = 0
-    with run as ev:
+    with ev:
         while True:
             minmax_calls += 1
             if draw() < p_up:
@@ -362,4 +371,4 @@ def ucs_solve(
             seed_node.cost = cost_a
             dfs_calls += 1
             dfs(seed_node, r_lower, r_upper, ev, on_event)
-    return run.report(dfs_calls=dfs_calls, minmax_calls=minmax_calls)
+    return conclude("ucs", ev, dfs_calls, minmax_calls)

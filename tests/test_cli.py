@@ -130,12 +130,19 @@ def test_solve_writes_report_to_file(tmp_path, capsys):
 def test_solve_rejects_non_finite_costs(tmp_path, capsys):
     path = tmp_path / "nan.json"
     costs = {"00": float("nan"), "10": 1.0, "01": 0.5, "11": 2.0}
-    path.write_text(json.dumps({"n": 2, "kind": "explicit", "costs": costs}))
-    for algorithm in ("ucs", "ubb", "exhaustive"):
-        assert run(["solve", "--algorithm", algorithm, "--instance", path]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "finite" in captured.err
+    # a cost past float range once exited 1 with an OverflowError traceback
+    for payload in (
+        {"n": 2, "kind": "explicit", "costs": costs},
+        {"n": 1, "kind": "explicit", "costs": {"0": 1.0, "1": 10**400}},
+        {"n": 2, "kind": "subset_sum", "weights": [1, 10**400], "target": 0},
+    ):
+        path.write_text(json.dumps(payload))
+        for algorithm in ("ucs", "ubb", "exhaustive", None):
+            argv = ["verify"] if algorithm is None else ["solve", "--algorithm", algorithm]
+            assert run([*argv, "--instance", path]) == 3, (payload["kind"], argv)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "finite" in captured.err
 
 
 def test_generate_rejects_a_count_below_one(tmp_path, capsys):
@@ -169,6 +176,7 @@ def test_bench_rejects_each_bad_field_before_writing(tmp_path, capsys):
         ("sizes", [99]),
         ("sizes", [4.5]),
         ("weight_max", -5),
+        ("weight_max", 10**400),
         ("sample_rows", 0),
     ]:
         cfg.write_text(json.dumps(dict(config, **{field: value})))
@@ -213,6 +221,7 @@ def test_generate_rejects_bad_input_before_making_the_directory(tmp_path, capsys
         ["--n", "0", "--kind", "mce-samples"],
         ["--n", "5", "--kind", "mce-samples", "--rows", "0"],
         ["--n", "5", "--weight-max", "0"],
+        ["--n", "5", "--weight-max", str(10**400)],
         ["--n", "5", "--kind", "mce-samples", "--noise", "7"],
         ["--n", "5", "--kind", "mce-samples", "--noise", "-0.1"],
         ["--n", "5", "--kind", "mce-samples", "--noise", "nan"],

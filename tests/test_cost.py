@@ -19,6 +19,7 @@ from ucurve.cost import (
     load_samples,
     mce_cost,
     mce_instance,
+    parse_instance,
     save_instance,
     save_samples,
     verify_decomposable,
@@ -665,7 +666,9 @@ class TestInstanceFiles:
 
 
 class TestNonFiniteCosts:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="huge-int")]
+    )
     def test_explicit_table_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             Instance(n=1, kind="explicit", costs=(bad, 1.0))
@@ -675,6 +678,29 @@ class TestNonFiniteCosts:
         with pytest.raises(ValueError, match="finite"):
             Instance(n=1, kind="explicit", costs=(0.0, bad))
 
+    @pytest.mark.parametrize(
+        "weights, target",
+        [((1, 10**400), 0), ((10**308, 10**308), 5), ((1, 2), 10**400)],
+        ids=["weight", "sum", "target"],
+    )
+    def test_subset_sum_past_float_range_is_rejected(self, weights, target):
+        # its costs, |target - sum|, reach max(target, sum of the weights)
+        with pytest.raises(ValueError, match="finite"):
+            Instance(n=2, kind="subset_sum", weights=weights, target=target)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 2, "kind": "subset_sum", "weights": [1, 10**400], "target": 0},
+            {"n": 1, "kind": "explicit", "costs": {"0": 1.0, "1": 10**400}},
+        ],
+        ids=["subset_sum", "explicit"],
+    )
+    def test_parse_instance_rejects_a_number_past_float_range(self, payload):
+        # it once raised OverflowError, which the CLI does not catch
+        with pytest.raises(ValueError, match="finite"):
+            parse_instance(json.dumps(payload), "huge.json")
+
     def test_load_instance_rejects_nan(self, tmp_path):
         path = tmp_path / "nan.json"
         costs = {"00": float("nan"), "10": 1.0, "01": 0.5, "11": 2.0}
@@ -683,7 +709,9 @@ class TestNonFiniteCosts:
         with pytest.raises(ValueError, match="finite"):
             load_instance(path)
 
-    @pytest.mark.parametrize("bad", [None, float("nan"), float("inf"), "1.0", False])
+    @pytest.mark.parametrize(
+        "bad", [None, float("nan"), float("inf"), "1.0", False, pytest.param(10**400, id="huge-int")]
+    )
     def test_bare_callable_value_checked(self, bad):
         ev = CostEvaluator(lambda x: bad, n=2)
         with pytest.raises(ValueError, match="finite"):
@@ -700,13 +728,16 @@ class TestNonFiniteCosts:
         assert ev.fn.__name__ == "subset_sum"
 
     def test_every_solver_rejects_a_nan_callable(self):
-        from ucurve.oracle import exhaustive_solve
+        # the ValueError is raised inside the solver's run, and the evaluator's
+        # exit must let it through: it swallows only its two stops
+        from ucurve.oracle import exhaustive_solve, legacy_ucurve_solve
+        from ucurve.sffs import sffs_solve
         from ucurve.ubb import ubb_solve
         from ucurve.ucs import ucs_solve
 
         def fn(x):
-            return float("nan") if x == 0 else 0.5 * x
+            return float("nan")
 
-        for solve in (ucs_solve, ubb_solve, exhaustive_solve):
+        for solve in (ucs_solve, ubb_solve, sffs_solve, exhaustive_solve, legacy_ucurve_solve):
             with pytest.raises(ValueError, match="finite"):
                 solve(2, fn)

@@ -41,17 +41,24 @@ def test_solver_rejects_a_degree_that_is_not_the_costs(monkeypatch, solve, n):
 
 @pytest.mark.parametrize("solve", SOLVERS, ids=lambda solve: solve.__name__)
 @pytest.mark.parametrize(
-    "cost",
+    "n, cost",
     [
-        pytest.param(lambda m: float(m), id="callable"),
-        pytest.param(generate_subset_sum_instance(1, 3), id="instance"),
+        pytest.param(True, lambda m: float(m), id="callable"),
+        pytest.param(True, generate_subset_sum_instance(1, 3), id="instance"),
+        # the evaluator must check the degree before the solver reads it,
+        # or these raise TypeError from a shift or a range instead
+        pytest.param("5", lambda m: float(m), id="str-callable"),
+        pytest.param(5.0, lambda m: float(m), id="float-callable"),
+        pytest.param(None, lambda m: float(m), id="None-callable"),
+        pytest.param("5", generate_subset_sum_instance(5, 3), id="str-instance"),
+        pytest.param(5.0, generate_subset_sum_instance(5, 3), id="float-instance"),
     ],
 )
-def test_solver_rejects_a_bool_degree(monkeypatch, solve, cost):
+def test_solver_rejects_a_bool_degree(monkeypatch, solve, n, cost):
     # True is an int equal to 1; it once ran as degree 1 and was reported as "n": true
     evaluated = spy_on_evaluate(monkeypatch)
     with pytest.raises(ValueError, match="degree"):
-        solve(True, cost)
+        solve(n, cost)
     assert evaluated == []
 
 

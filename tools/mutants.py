@@ -32,7 +32,6 @@ REPO = Path(__file__).resolve().parents[1]
 
 LATTICE = "ucurve/lattice.py"
 COST = "ucurve/cost.py"
-REPORT = "ucurve/report.py"
 UCS = "ucurve/ucs.py"
 TARGET = [
     "tests/test_cost.py::TestEvaluator::test_cost_target_latches",
@@ -134,10 +133,17 @@ MUTANTS = [
     ),
     (
         "a run that lets TargetReached escape",
-        REPORT,
+        COST,
         "isinstance(exc, (BudgetExhausted, TargetReached))",
         "isinstance(exc, BudgetExhausted)",
         TARGET,
+    ),
+    (
+        "an evaluator exit that swallows every exception",
+        COST,
+        "        return self.stop is not None\n",
+        "        return True\n",
+        ["tests/test_cost.py::TestNonFiniteCosts::test_every_solver_rejects_a_nan_callable"],
     ),
     (
         "a budget check that allows one evaluation too many",
@@ -157,8 +163,8 @@ MUTANTS = [
     (
         "dfs liveness that ignores the upper side's tag",
         UCS,
-        "if lower_covered(ye) == 1 or upper_covered(ye) == 1 or graph.get(ye) is not y:",
-        "if lower_covered(ye) == 1 or graph.get(ye) is not y:",
+        "if lower_covered(ye) == 1 or upper_covered(ye) == 1:",
+        "if lower_covered(ye) == 1:",
         DEAD_NODES,
     ),
     (
