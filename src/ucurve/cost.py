@@ -366,9 +366,9 @@ class CostEvaluator:
     target is memoized, then raises TargetReached. The criteria and the
     degree are checked before the cost function is built, else
     ValueError: a budget must be a non-negative int, a target a number
-    other than NaN (bools are neither; -inf never fires, inf fires at
-    once), and n, needed for a bare callable, must equal an Instance's
-    degree.
+    other than NaN (bools are neither; -inf never fires, inf or an int
+    past float range fires at once), and n, needed for a bare callable,
+    must equal an Instance's degree.
 
     It is also the run contract: a solver builds it before anything else
     reads n, searches inside ``with ev:`` and returns report.conclude(name,
@@ -405,7 +405,7 @@ class CostEvaluator:
         if cost_target is not None and (
             isinstance(cost_target, bool)
             or not isinstance(cost_target, (int, float))
-            or math.isnan(cost_target)
+            or cost_target != cost_target
         ):
             raise ValueError(f"cost target must be a number other than NaN, got {cost_target!r}")
         if n is not None:

@@ -94,8 +94,10 @@ class RestrictionSet:
     the tag 2, and demotes r to 1. Absorption therefore costs O(1) per
     absorbed member, and an insert costs O(n) per newly covered element.
     Above ``_ACCEL_MAX_DEGREE`` (20), the one switch between the paths, the
-    set keeps the antichain itself: ``covers`` scans it and an insert
-    filters it. ``_insert`` is chosen when the set is built, the way
+    set keeps the antichain itself, each member stored XOR ``_flip``, so
+    that there too an UPPER set reads as a LOWER one: ``covers`` scans it,
+    an insert filters it, and ``members`` un-flips each member it reads.
+    ``_insert`` is chosen when the set is built, the way
     ``covered`` is: ``_mark`` bound to the bitmap and the flip, or
     ``_absorb``.
 
@@ -152,7 +154,7 @@ class RestrictionSet:
         """The antichain, in mask order."""
         cover = self._cover
         if cover is None:
-            return sorted(self._members)
+            return sorted(m ^ self._flip for m in self._members)
         found = []
         x = cover.find(2)
         while x >= 0:
@@ -169,11 +171,10 @@ class RestrictionSet:
     def _scan(self, x: int) -> int:
         """The tag of x read off the antichain, for the path without a bitmap."""
         members = self._members
+        x ^= self._flip
         if x in members:
             return 2
-        if self.orientation == LOWER:
-            return 1 if any(x & ~r == 0 for r in members) else 0
-        return 1 if any(r & ~x == 0 for r in members) else 0
+        return 1 if any(x & ~r == 0 for r in members) else 0
 
     def update(self, x: int) -> None:
         """Insert x unless already covered; absorb members x dominates."""
@@ -197,12 +198,9 @@ class RestrictionSet:
     def _absorb(self, x: int) -> None:
         """Insert uncovered x into the antichain without a bitmap."""
         members = self._members
-        if self.orientation == LOWER:
-            # drop members properly contained in x
-            absorbed = [r for r in members if not r & ~x]
-        else:
-            # drop members properly containing x
-            absorbed = [r for r in members if not x & ~r]
+        x ^= self._flip
+        # drop the members x dominates: properly contained in it, read flipped
+        absorbed = [r for r in members if not r & ~x]
         for r in absorbed:
             del members[r]
         members[x] = None

@@ -22,13 +22,14 @@ EXHAUSTIVE_MAX_DEGREE = 24
 
 
 def exhaustive_solve(
-    n: int,
+    n: int | None,
     cost: Instance | Callable[[int], float],
     node_budget: int | None = None,
     cost_target: float | None = None,
 ) -> SearchReport:
     """Evaluate all 2**n subsets and return every minimum."""
     ev = CostEvaluator(cost, n, node_budget, cost_target)
+    n = ev.n
     if n > EXHAUSTIVE_MAX_DEGREE:
         raise ValueError(f"exhaustive search is capped at degree {EXHAUSTIVE_MAX_DEGREE}")
     with ev:
@@ -38,7 +39,7 @@ def exhaustive_solve(
 
 
 def legacy_ucurve_solve(
-    n: int,
+    n: int | None,
     cost: Instance | Callable[[int], float],
     seed: int = 0,
     p_up: float = 0.5,
@@ -60,6 +61,7 @@ def legacy_ucurve_solve(
     """
     check_p_up(p_up)
     ev = CostEvaluator(cost, n, node_budget, cost_target)
+    n = ev.n
     draw = random.Random(seed).random
     r_lower = RestrictionSet(LOWER, n)
     r_upper = RestrictionSet(UPPER, n)

@@ -39,7 +39,7 @@ def sbs_step(current: int, n: int, evaluator: CostEvaluator) -> int:
 
 
 def sffs_solve(
-    n: int,
+    n: int | None,
     cost: Instance | Callable[[int], float],
     node_budget: int | None = None,
     cost_target: float | None = None,
@@ -53,6 +53,7 @@ def sffs_solve(
     global best over all cardinalities. Suboptimal by design.
     """
     ev = CostEvaluator(cost, n, node_budget, cost_target)
+    n = ev.n
     full = full_set(n)
     with ev:
         current = 0

@@ -18,12 +18,13 @@ from .report import SearchReport, conclude
 
 
 def ubb_solve(
-    n: int,
+    n: int | None,
     cost: Instance | Callable[[int], float],
     node_budget: int | None = None,
     cost_target: float | None = None,
 ) -> SearchReport:
     ev = CostEvaluator(cost, n, node_budget, cost_target)
+    n = ev.n
     with ev:
         _descend(0, ev.evaluate(0), 0, n, ev)
     return conclude("ubb", ev)

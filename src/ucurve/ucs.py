@@ -13,10 +13,10 @@ element, so no global minimum is lost:
 * an element all of whose lower (upper) neighbours are gone can itself be
   removed, since its interval minus itself is gone already.
 
-Node flags track those neighbour states: lower_adjacent / upper_adjacent
-hold the bits whose neighbour is not yet known covered, and an empty flag
-licenses the interval removal. unverified holds the bits not yet examined
-for expansion.
+A node's adjacent mask holds the bits whose neighbour is not yet known
+covered on that neighbour's side; its bits inside the element are the
+lower flag and the rest the upper flag, so each node rule is written once
+for both sides. An empty flag licenses the interval removal.
 
 A pruning step costs what it changes, not what the run has seen: it only
 updates a restriction set, and the DFS learns of it lazily. A stacked
@@ -81,23 +81,28 @@ EventCallback = Callable[[dict], None]
 class Node:
     """A visited element, its cost and neighbour bookkeeping masks.
 
-    The cost is None until it is read: dfs sets it when it pushes the node,
-    and ucs_solve sets it on the seeds it has just evaluated.
+    unverified holds the bits not yet examined for expansion. adjacent
+    holds the bits whose neighbour is not yet known covered on its side:
+    ``adjacent & element`` is the lower flag, the bits toward lower
+    neighbours, and ``adjacent & ~element`` the upper flag. Both masks
+    start at bits: a fresh node is ``Node(x, full)``, a seed whose own side
+    is gone ``Node(a, rest)``. The cost is None until it is read: dfs sets
+    it when it pushes the node, and ucs_solve sets it on the seeds it has
+    just evaluated.
     """
 
-    __slots__ = ("element", "cost", "unverified", "lower_adjacent", "upper_adjacent")
+    __slots__ = ("element", "cost", "unverified", "adjacent")
 
-    def __init__(self, element: int, unverified: int, lower_adjacent: int, upper_adjacent: int):
+    def __init__(self, element: int, bits: int):
         self.element = element
         self.cost = None
-        self.unverified = unverified
-        self.lower_adjacent = lower_adjacent
-        self.upper_adjacent = upper_adjacent
+        self.unverified = bits
+        self.adjacent = bits
 
     def __repr__(self) -> str:
         return (
             f"Node(element={self.element:#x}, unverified={self.unverified:#x}, "
-            f"lower_adjacent={self.lower_adjacent:#x}, upper_adjacent={self.upper_adjacent:#x})"
+            f"adjacent={self.adjacent:#x})"
         )
 
 
@@ -119,30 +124,26 @@ def select_unvisited_adjacent(
     first neighbour that is both inside the current space and not in graph,
     the elements this DFS has pushed, or None when y's unverified set
     empties.
-    Along the way y's flags are maintained: a neighbour found covered by the
-    matching restriction side clears its bit from y's flag (visited but
-    uncovered neighbours clear nothing).
+    Along the way y's adjacent mask is maintained: a neighbour found covered
+    on its own side of y clears its bit (visited but uncovered neighbours
+    clear nothing).
     """
     element = y.element
     full = r_lower.full
-    lower_covered = r_lower.covered
-    upper_covered = r_upper.covered
+    # the lookups of a neighbour's own side and of the other side
+    upward = (r_upper.covered, r_lower.covered)
+    downward = upward[::-1]
     while y.unverified:
         bit = y.unverified & -y.unverified
         y.unverified ^= bit
         x = element ^ bit
-        if element & bit:  # x is the lower neighbour across this bit
-            if lower_covered(x):
-                y.lower_adjacent &= ~bit
-                continue
-            if x not in graph and not upper_covered(x):
-                return Node(x, full, x, full ^ x)
-        else:
-            if upper_covered(x):
-                y.upper_adjacent &= ~bit
-                continue
-            if x not in graph and not lower_covered(x):
-                return Node(x, full, x, full ^ x)
+        # x lies on y's lower side iff element holds the bit
+        own, other = downward if element & bit else upward
+        if own(x):
+            y.adjacent &= ~bit
+            continue
+        if x not in graph and not other(x):
+            return Node(x, full)
     return None
 
 
@@ -179,11 +180,10 @@ def node_pruning(
 ) -> None:
     """Prune around the adjacent pair (x, y) when one side is strictly cheaper.
 
-    Of the pair's upper and lower element, the costlier one is removed
-    together with its interval away from the cheaper one: a costlier lower
-    element goes with its lower interval, a costlier upper element with its
-    upper interval. The cheaper node's flag loses the bit toward the
-    removed neighbour, and the removed node's flag on that side empties.
+    The costlier node is removed together with its interval away from the
+    cheaper one: its lower interval if it is the lower element of the pair,
+    else its upper interval. The cheaper node's mask loses the bit toward
+    the removed neighbour, and the removed node's mask empties on that side.
     Equal costs fire nothing.
     """
     if x.cost == y.cost:
@@ -191,15 +191,12 @@ def node_pruning(
     bit = x.element ^ y.element
     if bit == 0 or bit & (bit - 1):
         raise ValueError("node_pruning needs adjacent nodes")
-    upper, lower = (x, y) if x.element & bit else (y, x)
-    if upper.cost < lower.cost:
-        lower_pruning(lower, r_lower, on_event)
-        upper.lower_adjacent &= ~bit
-        lower.lower_adjacent = 0
-    else:
-        upper_pruning(upper, r_upper, on_event)
-        lower.upper_adjacent &= ~bit
-        upper.upper_adjacent = 0
+    cheap, costly = (x, y) if x.cost < y.cost else (y, x)
+    prune, r = (upper_pruning, r_upper) if costly.element & bit else (lower_pruning, r_lower)
+    prune(costly, r, on_event)
+    cheap.adjacent &= ~bit
+    # element ^ r._flip holds the bits on r's side (r._flip is 0 or full)
+    costly.adjacent &= ~(costly.element ^ r._flip)
 
 
 def check_flag(r: RestrictionSet, element: int) -> None:
@@ -211,7 +208,7 @@ def check_flag(r: RestrictionSet, element: int) -> None:
     """
     side = r.orientation
     covered = r.covered
-    bits = element if side == LOWER else r.full ^ element
+    bits = element ^ r._flip
     while bits:
         b = bits & -bits
         bits ^= b
@@ -287,10 +284,10 @@ def dfs(
             node_pruning(x, y, r_lower, r_upper, on_event)
             if cx <= cy:
                 break
-        if not y.lower_adjacent and not lower_covered(ye):
+        if not y.adjacent & ye and not lower_covered(ye):
             check_flag(r_lower, ye)
             lower_pruning(y, r_lower, on_event)
-        if not y.upper_adjacent and not upper_covered(ye):
+        if not y.adjacent & ~ye and not upper_covered(ye):
             check_flag(r_upper, ye)
             upper_pruning(y, r_upper, on_event)
 
@@ -318,7 +315,7 @@ def tail_iterations(
 
 
 def ucs_solve(
-    n: int,
+    n: int | None,
     cost: Instance | Callable[[int], float],
     seed: int = 0,
     p_up: float = 0.5,
@@ -334,6 +331,7 @@ def ucs_solve(
     """
     check_p_up(p_up)
     ev = CostEvaluator(cost, n, node_budget, cost_target)
+    n = ev.n
     draw = random.Random(seed).random
     full = (1 << n) - 1
     r_lower = RestrictionSet(LOWER, n)
@@ -367,7 +365,7 @@ def ucs_solve(
                 continue
             # a's own side is gone: only its bits toward the other side are left
             rest = a if own is r_upper else full ^ a
-            seed_node = Node(a, rest, rest & a, rest & ~a)
+            seed_node = Node(a, rest)
             seed_node.cost = cost_a
             dfs_calls += 1
             dfs(seed_node, r_lower, r_upper, ev, on_event)

@@ -173,6 +173,12 @@ class TestEvaluator:
         never = CostEvaluator(float, n=3, cost_target=float("-inf"))
         assert [never.evaluate(x) for x in range(8)] == [float(x) for x in range(8)]
         assert never.computed_nodes == 8
+        # an int past float range is met by every cost, as inf is; it once
+        # raised OverflowError from the NaN check
+        huge = CostEvaluator(float, n=3, cost_target=10**400)
+        with pytest.raises(TargetReached):
+            huge.evaluate(5)
+        assert huge.memo == {5: 5.0}
 
     def test_stop_criteria_checked_before_the_cost_function_is_built(self, monkeypatch):
         built = []

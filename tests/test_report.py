@@ -63,6 +63,18 @@ def test_solver_rejects_a_bool_degree(monkeypatch, solve, n, cost):
 
 
 @pytest.mark.parametrize("solve", SOLVERS, ids=lambda solve: solve.__name__)
+def test_solver_reads_its_degree_off_an_instance(solve):
+    # n=None with an Instance means the instance's degree; ucs, ubb and
+    # exhaustive once raised TypeError, and ubb evaluated mask 0 first
+    instance = generate_subset_sum_instance(6, 3)
+    got, want = (solve(n, instance).to_dict() for n in (None, instance.n))
+    for wall_clock in ("wall_time_sec", "time_in_cost_sec", "time_other_sec"):
+        del got[wall_clock], want[wall_clock]
+    assert got == want
+    assert got["n"] == 6
+
+
+@pytest.mark.parametrize("solve", SOLVERS, ids=lambda solve: solve.__name__)
 @pytest.mark.parametrize(
     "stop",
     [

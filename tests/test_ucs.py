@@ -42,8 +42,7 @@ from ucurve.ucs import (
 
 def make_node(element, n):
     # a newly visited element: nothing verified, nothing known covered
-    full = full_set(n)
-    return Node(element, full, element, full ^ element)
+    return Node(element, full_set(n))
 
 
 class TestSelectUnvisitedAdjacent:
@@ -55,8 +54,8 @@ class TestSelectUnvisitedAdjacent:
         assert x is not None
         assert x.element == parse_element("00")
         assert x.unverified == full_set(n)
-        assert x.lower_adjacent == x.element
-        assert x.upper_adjacent == full_set(n) ^ x.element
+        assert x.adjacent & x.element == x.element
+        assert x.adjacent & ~x.element == full_set(n) ^ x.element
         # the probed bit is consumed from y
         assert y.unverified == parse_element("01")
 
@@ -75,8 +74,8 @@ class TestSelectUnvisitedAdjacent:
         r_upper = RestrictionSet(UPPER, n, [parse_element("11")])
         got = select_unvisited_adjacent(y, graph, RestrictionSet(LOWER, n), r_upper)
         assert got is None
-        assert y.upper_adjacent == 0  # s2 cleared, neighbour 11 covered above
-        assert y.lower_adjacent == y.element  # 00 visited but uncovered, flag kept
+        assert y.adjacent & ~y.element == 0  # s2 cleared, neighbour 11 covered above
+        assert y.adjacent & y.element == y.element  # 00 visited but uncovered, flag kept
 
 
 class TestPruning:
@@ -110,7 +109,7 @@ class TestPruning:
         lower_pruning(y, r_lower)
         assert list(r_lower) == members_once
 
-    def test_node_pruning_upper_adjacent_cheaper(self):
+    def test_node_pruning_upper_neighbour_cheaper(self):
         # X=11 cheaper than its lower neighbour Y=10: Y's down interval goes
         n = 2
         costs = {0b00: 9.0, 0b01: 2.0, 0b10: 9.0, 0b11: 1.0}
@@ -121,8 +120,8 @@ class TestPruning:
         r_upper = RestrictionSet(UPPER, n)
         node_pruning(x, y, r_lower, r_upper)
         assert list(r_lower) == [parse_element("10")]
-        assert x.lower_adjacent == parse_element("10")  # lost the bit toward y
-        assert y.lower_adjacent == 0
+        assert x.adjacent & x.element == parse_element("10")  # lost the bit toward y
+        assert y.adjacent & y.element == 0
         assert not list(r_upper)
 
     def test_node_pruning_equal_costs_fire_nothing(self):
@@ -132,12 +131,12 @@ class TestPruning:
         x.cost = y.cost = 1.0
         r_lower = RestrictionSet(LOWER, n)
         r_upper = RestrictionSet(UPPER, n)
-        before = (x.lower_adjacent, x.upper_adjacent, y.lower_adjacent, y.upper_adjacent)
+        before = (x.adjacent, y.adjacent)
         node_pruning(x, y, r_lower, r_upper)
         assert not list(r_lower) and not list(r_upper)
-        assert before == (x.lower_adjacent, x.upper_adjacent, y.lower_adjacent, y.upper_adjacent)
+        assert before == (x.adjacent, y.adjacent)
 
-    def test_node_pruning_lower_adjacent_cheaper(self):
+    def test_node_pruning_lower_neighbour_cheaper(self):
         # X=01 cheaper than its upper neighbour Y=11: Y's up interval goes
         n = 2
         costs = {0b00: 9.0, 0b10: 0.0, 0b01: 9.0, 0b11: 3.0}
@@ -148,8 +147,8 @@ class TestPruning:
         r_upper = RestrictionSet(UPPER, n)
         node_pruning(x, y, r_lower, r_upper)
         assert list(r_upper) == [parse_element("11")]
-        assert y.upper_adjacent == 0
-        assert x.upper_adjacent == 0  # lost its only upward bit (s1)
+        assert y.adjacent & ~y.element == 0
+        assert x.adjacent & ~x.element == 0  # lost its only upward bit (s1)
         assert not list(r_lower)
 
     def test_node_pruning_requires_adjacency(self):
@@ -170,7 +169,7 @@ def seeded_dfs(instance, going_up=True):
     full = full_set(n)
     a = minimal_element(r_lower)
     r_lower.update(a)
-    node = Node(a, full ^ a, 0, full ^ a)
+    node = Node(a, full ^ a)
     dfs(node, r_lower, r_upper, ev)
     return r_lower, r_upper, ev
 
@@ -207,7 +206,7 @@ class TestDfs:
             if r_upper.covers(a):
                 continue
             before = {x for x in range(1 << n) if in_current_space(r_lower, r_upper, x)}
-            node = Node(a, full_set(n) ^ a, 0, full_set(n) ^ a)
+            node = Node(a, full_set(n) ^ a)
             dfs(node, r_lower, r_upper, ev)
             after = {x for x in range(1 << n) if in_current_space(r_lower, r_upper, x)}
             removed = before - after
@@ -265,7 +264,7 @@ class TestDfs:
             r_lower.update(a)
             pushed.add(a)
             full = full_set(n)
-            dfs(Node(a, full ^ a, 0, full ^ a), r_lower, r_upper, CostEvaluator(inst), on_event)
+            dfs(Node(a, full ^ a), r_lower, r_upper, CostEvaluator(inst), on_event)
             kills += len(killed)
             pushed.clear()
             killed.clear()
@@ -472,17 +471,18 @@ class TestFlagSoundnessCheck:
     """An empty flag whose neighbours are not all covered must stop the search."""
 
     @pytest.mark.parametrize(
-        "lower_adjacent, upper_adjacent, side",
+        "lower_flag, upper_flag, side",
         [(0, 0b100, "lower"), (0b011, 0, "upper")],
     )
-    def test_corrupted_seed_flag_raises(self, lower_adjacent, upper_adjacent, side):
+    def test_corrupted_seed_flag_raises(self, lower_flag, upper_flag, side):
         n = 3
         ev = CostEvaluator(lambda m: float(m), n=n)
         r_lower = RestrictionSet(LOWER, n)
         r_upper = RestrictionSet(UPPER, n)
         # 0b011 has uncovered neighbours on both sides, yet one flag says
         # none is left; nothing is unverified, so the seed pops at once
-        seed = Node(0b011, 0, lower_adjacent, upper_adjacent)
+        seed = Node(0b011, lower_flag | upper_flag)
+        seed.unverified = 0
         with pytest.raises(RuntimeError, match=f"unsound {side} flag"):
             dfs(seed, r_lower, r_upper, ev)
         assert len(r_lower) == len(r_upper) == 0
@@ -493,8 +493,10 @@ class TestFlagSoundnessCheck:
             "from ucurve.lattice import LOWER, UPPER, RestrictionSet\n"
             "from ucurve.ucs import Node, dfs\n"
             "assert False, 'assertions are on'\n"
+            "seed = Node(0b011, 0b100)\n"
+            "seed.unverified = 0\n"
             "try:\n"
-            "    dfs(Node(0b011, 0, 0, 0b100), RestrictionSet(LOWER, 3),\n"
+            "    dfs(seed, RestrictionSet(LOWER, 3),\n"
             "        RestrictionSet(UPPER, 3), CostEvaluator(float, n=3))\n"
             "except RuntimeError as exc:\n"
             "    print('raised:', exc)\n"

@@ -9,6 +9,8 @@ change there and runs those tests with PYTHONPATH on the copy; the tests
 themselves are read from tests/ unchanged. The tests must import the
 package in-process, so that they see the copy. Before any mutant, the
 union of the listed tests runs once on an unchanged copy and must pass.
+Then the mutants run two at a time, each from its own directory, so that
+no two runs share a Hypothesis database; results print in list order.
 
 The gate fails if an old text does not occur exactly once (a refactor
 that moves the code must update its mutant), if a test run errors out
@@ -26,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -168,6 +171,35 @@ MUTANTS = [
         DEAD_NODES,
     ),
     (
+        "dfs lower-flag test that reads the whole mask",
+        UCS,
+        "if not y.adjacent & ye and not lower_covered(ye):",
+        "if not y.adjacent and not lower_covered(ye):",
+        ["tests/test_ucs.py::TestFlagSoundnessCheck::test_corrupted_seed_flag_raises[0-4-lower]"],
+    ),
+    (
+        "node_pruning that empties the costlier node's whole mask",
+        UCS,
+        "    costly.adjacent &= ~(costly.element ^ r._flip)\n",
+        "    costly.adjacent = 0\n",
+        ["tests/test_ucs_trajectories.py::TestGoldenTrajectories::test_fixture_reproduced_untraced"],
+    ),
+    (
+        "check_flag that never raises",
+        UCS,
+        "        if not covered(element ^ b):\n",
+        "        if False:\n",
+        ["tests/test_ucs.py::TestFlagSoundnessCheck::test_corrupted_seed_flag_raises"],
+    ),
+    (
+        "antichain scan without the flip",
+        LATTICE,
+        "        x ^= self._flip\n"
+        "        if x in members:\n",
+        "        if x in members:\n",
+        ["tests/test_lattice.py::TestCovers::test_matches_brute_force_with_and_without_bitmap"],
+    ),
+    (
         "mce mixed parts summed unsorted",
         COST,
         "        mixed.sort(key=_first_item, reverse=True)\n",
@@ -214,16 +246,24 @@ MUTANTS = [
 ]
 
 
-def run_tests(src: Path, tests: list[str], workdir: Path) -> subprocess.CompletedProcess:
-    """Run pytest on tests against the package under src; exit 0 passed, 1 failed."""
+def run_tests(src: Path, tests: list[str]) -> tuple[subprocess.CompletedProcess, float]:
+    """Run pytest on tests against the package under src; exit 0 passed, 1 failed.
+
+    Returns the finished process and its time in seconds.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src)
-    # run from workdir, so the Hypothesis example database starts empty
-    # and nothing is written into the repository
+    # run from the copy's own directory, so the Hypothesis example database
+    # starts empty, no other run shares it, and nothing is written into the
+    # repository
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
     cmd += ["--hypothesis-seed=0", f"--rootdir={REPO}"]
     cmd += [str(REPO / t) for t in tests]
-    return subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True, timeout=600)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        cmd, cwd=src.parent, env=env, capture_output=True, text=True, timeout=600
+    )
+    return proc, time.perf_counter() - start
 
 
 def fresh_copy(tmp: Path, name: str) -> Path:
@@ -262,31 +302,34 @@ def main() -> int:
             print(f"ucurve does not import from the copy {clean}", file=sys.stderr)
             return 1
         union = list(dict.fromkeys(t for m in MUTANTS for t in m[4]))
-        start = time.perf_counter()
-        proc = run_tests(clean, union, tmp)
+        proc, took = run_tests(clean, union)
         if proc.returncode != 0:
             print(proc.stdout + proc.stderr, file=sys.stderr)
             print("the listed tests do not pass on the unchanged source", file=sys.stderr)
             return 1
-        print(f"unchanged source: {len(union)} tests pass ({time.perf_counter() - start:.1f} s)")
+        print(f"unchanged source: {len(union)} tests pass ({took:.1f} s)")
 
-        survivors = []
-        for i, (name, path, old, new, tests) in enumerate(MUTANTS):
+        def run_mutant(i: int) -> tuple[subprocess.CompletedProcess, float]:
+            _name, path, old, new, tests = MUTANTS[i]
             src = fresh_copy(tmp, f"mutant{i}")
             target = src / path
             target.write_text(target.read_text().replace(old, new))
-            start = time.perf_counter()
-            proc = run_tests(src, tests, tmp)
-            took = time.perf_counter() - start
-            if proc.returncode == 1:
-                print(f"killed    {name} ({took:.1f} s)")
-            elif proc.returncode == 0:
-                print(f"SURVIVED  {name} ({took:.1f} s)")
-                survivors.append(name)
-            else:
-                print(proc.stdout + proc.stderr, file=sys.stderr)
-                print(f"ERROR     {name}: pytest exited {proc.returncode}")
-                survivors.append(name)
+            return run_tests(src, tests)
+
+        survivors = []
+        # at most two pytest processes at once; map yields in list order
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = pool.map(run_mutant, range(len(MUTANTS)))
+            for (name, *_rest), (proc, took) in zip(MUTANTS, results):
+                if proc.returncode == 1:
+                    print(f"killed    {name} ({took:.1f} s)", flush=True)
+                elif proc.returncode == 0:
+                    print(f"SURVIVED  {name} ({took:.1f} s)", flush=True)
+                    survivors.append(name)
+                else:
+                    print(proc.stdout + proc.stderr, file=sys.stderr)
+                    print(f"ERROR     {name}: pytest exited {proc.returncode}", flush=True)
+                    survivors.append(name)
     total = f"{time.perf_counter() - began:.1f} s in all"
     if survivors:
         print(f"{len(survivors)} of {len(MUTANTS)} mutants not killed: {survivors} ({total})")
