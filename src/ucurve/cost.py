@@ -13,12 +13,13 @@ Three instance kinds are supported:
   table, the cost used for classifier window design. Not guaranteed
   U-shaped on empirical data. ``mce_cost`` is the reference definition,
   a scan over every row. The instance's cost function is a kernel that
-  refines per-feature row bitsets instead. It keeps the partition of the
-  last mask of each width it partitioned, and refines each mask by the
-  features it lacks from the widest of those that is its subset; a wide
-  mask that is not one feature over such a subset goes to ``mce_cost``.
-  It must equal ``mce_cost`` bit for bit on every mask, in any order of
-  calls.
+  never scans the rows per mask. It keeps the partition of the last mask
+  of each width it partitioned, and refines each mask by the features it
+  lacks from the widest of those that is its subset. A wide mask that is
+  not one feature over such a subset is coarsened instead: the row-pattern
+  histogram of a cached superset, the full mask's at the latest, is merged
+  down to the mask's patterns. It must equal ``mce_cost`` bit for bit on
+  every mask, in any order of calls.
 
 The CostEvaluator wraps a cost function with memoization, the
 computed-nodes counter shared by every solver comparison, wall-time
@@ -32,7 +33,8 @@ import json
 import math
 import random
 import time
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -214,9 +216,8 @@ def mce_cost(samples: SampleTable, x: int) -> float:
     The groups' terms are summed in the order of each group's first row.
 
     This is the reference definition. The ``mce`` instance kernel
-    (``_mce_kernel``) computes most masks another way and must return the
-    same float, bit for bit; the wide masks it cannot refine from its
-    slots it passes here.
+    (``_mce_kernel``) computes every mask another way, never calling it,
+    and must return the same float, bit for bit.
     """
     check_element(x, samples.n)
     counts: dict[int, list[int]] = {}
@@ -244,17 +245,65 @@ def mce_cost(samples: SampleTable, x: int) -> float:
 # A mask of s features splits the rows into at most 2**s parts. Refining a
 # mask by several features, up to s passes over the parts, pays only while
 # that is at most 64 parts (about 8 bytes per row) and the table has at
-# least 8 rows per possible part; past either bound a scan by mce_cost costs
-# less. One pass, from the slot a feature smaller, costs less than the scan
-# at every width on 1000-row tables of 12 features.
+# least 8 rows per possible part; past either bound coarsening a cached
+# histogram costs less. One pass, from the slot a feature smaller, costs
+# less than either at every width on 1000-row tables of 12 features.
 _KERNEL_MAX_WIDTH = 6
 _KERNEL_ROWS_PER_PART = 8
+# the coarsening path keeps the histograms of this many masks, besides the
+# full mask's; 16-64 gained nothing over 8 on 1000-row tables of 12 features
+_KERNEL_HISTOGRAMS = 8
 # disjoint bitsets compare as their highest bits do, that is by first row
 _first_item = itemgetter(0)
 
 
+class _EntropyTerms(dict):
+    """Each group's term of the mce sum, keyed by its packed value; filled on first use.
+
+    A packed value is a group's row count plus its label-1 count shifted
+    left by ``shift``. A mixed group's term is the expression mce_cost
+    uses; a pure group or a singleton adds nothing to the sum, so its term
+    is 0.0.
+    """
+
+    __slots__ = ("t", "shift")
+
+    def __init__(self, t: int) -> None:
+        super().__init__()
+        self.t = t
+        self.shift = t.bit_length()
+
+    def __missing__(self, value: int) -> float:
+        count = value & ((1 << self.shift) - 1)
+        ones = value >> self.shift
+        term = 0.0
+        if 0 < ones < count:
+            p0 = (count - ones) / count
+            p1 = ones / count
+            term = -(p0 * math.log2(p0) + p1 * math.log2(p1)) * (count / self.t)
+        self[value] = term
+        return term
+
+
+def _coarsen(histogram: dict[int, int], x: int) -> dict[int, int]:
+    """A histogram of a superset of x merged down to x's row patterns, in one pass.
+
+    Keys are row patterns and values packed (row count, label-1 count)
+    pairs, which add as ints. The merged groups keep the order of their
+    first rows if the source's groups are in that order: a merged group is
+    inserted with the first source group that falls into it, the one that
+    holds its first row.
+    """
+    merged: dict[int, int] = {}
+    get = merged.get
+    for pattern, value in histogram.items():
+        key = pattern & x
+        merged[key] = get(key, 0) + value
+    return merged
+
+
 def _mce_kernel(samples: SampleTable) -> Callable[[int], float]:
-    """The mce cost of a sample table, computed from row bitsets where that is cheaper.
+    """The mce cost of a sample table, computed from row bitsets or cached histograms.
 
     Bit t-1-i of a feature's bitset is set when row i has the feature, and
     the same bit of the label bitset when row i has label 1, so a part's
@@ -267,19 +316,31 @@ def _mce_kernel(samples: SampleTable) -> Callable[[int], float]:
     partition; slot 0 holds the empty mask, all rows, from the start. A mask
     x of width s walks down from slot s-1 to the widest slot holding a
     subset of x (slot 0 at the latest), is refined from it by the features
-    that subset lacks, lowest first, and fills slot s. Only when that slot
-    is not s-1 and x has more than _KERNEL_MAX_WIDTH features, or the table
-    fewer than _KERNEL_ROWS_PER_PART rows per possible part, is x handed to
-    mce_cost instead, which writes no slot. ubb always refines from slot
-    s-1: after it evaluates p it evaluates only p's descendants, all wider
-    than p, before p's next child, so slot |p| still holds p then.
+    that subset lacks, lowest first, and fills slot s. ubb always refines
+    from slot s-1: after it evaluates p it evaluates only p's descendants,
+    all wider than p, before p's next child, so slot |p| still holds p then.
 
-    A mask's parts do not depend on the order of its refinements. The mixed
-    parts' entropy terms come from a memo keyed by (row count, label-1
-    count), filled with the expression mce_cost uses, and are added one by
-    one in the order of each part's first row, the order in which mce_cost
-    meets its groups, so the float is the same bit for bit. The bitsets and
-    the slots are built here, once per cost function, not when the table is.
+    Only when that slot is not s-1 and x has more than _KERNEL_MAX_WIDTH
+    features, or the table fewer than _KERNEL_ROWS_PER_PART rows per
+    possible part, is x coarsened instead, which writes no slot. A
+    histogram maps each row pattern of a mask to its packed row and label-1
+    counts, its groups in the order of their first rows. The kernel keeps
+    those of the last _KERNEL_HISTOGRAMS masks it coarsened and that of the
+    full mask, keyed by each row's mask and built on first use, so a run
+    that never coarsens never builds it. x is coarsened from the narrowest
+    of them whose mask is a superset of x (the full mask's at the latest),
+    its histogram is cached, evicting the oldest past the bound, and its
+    cost summed from it.
+
+    A mask's parts, and its histogram, do not depend on how they were
+    reached. The mixed groups' entropy terms come from a memo filled with
+    the expression mce_cost uses, and are added one by one from 0.0 in the
+    order of each group's first row, the order in which mce_cost meets its
+    groups; a pure group or a singleton adds 0.0, which changes no sum, and
+    the singletons' 1/t each comes last. So the float is mce_cost's, bit
+    for bit. The sum is a left fold, not sum(), which compensates on
+    Python 3.12. The bitsets and the slots are built here, once per cost
+    function, not when the table is.
     """
     n, t = samples.n, samples.t
     width = f"0{n}b"
@@ -291,7 +352,12 @@ def _mce_kernel(samples: SampleTable) -> Callable[[int], float]:
     all_rows = ((1 << t) - 1, t, labels.bit_count())
     slots: list[tuple[int, list, int] | None] = [None] * (n + 1)
     slots[0] = (0, [all_rows], 0) if t > 1 else (0, [], 1)
-    terms: dict[tuple[int, int], float] = {}
+    terms = _EntropyTerms(t)
+    shift = terms.shift
+    lone_one = 1 | 1 << shift  # a singleton of label 1, packed; 1 is one of label 0
+    full = (1 << n) - 1
+    histograms: dict[int, dict[int, int]] = {}  # oldest first
+    by_row: dict[int, int] = {}  # the full mask's histogram, once built
 
     def refine(parts: list, singletons: int, feature: int) -> tuple[list, int]:
         refined = []
@@ -315,15 +381,31 @@ def _mce_kernel(samples: SampleTable) -> Callable[[int], float]:
                 append((rows_in ^ inside, count_out, ones - ones_in))
         return refined, singletons
 
+    def coarse(x: int) -> float:
+        source = full
+        for y in histograms:
+            if not x & ~y and y.bit_count() < source.bit_count():
+                source = y
+        if source == full and not by_row:
+            for rx, y in rows:
+                by_row[rx] = by_row.get(rx, 0) + (1 | y << shift)
+        histogram = by_row if source == full else histograms[source]
+        merged = histograms[x] = _coarsen(histogram, x)
+        if len(histograms) > _KERNEL_HISTOGRAMS:
+            del histograms[next(iter(histograms))]
+        values = list(merged.values())
+        singletons = values.count(1) + values.count(lone_one)
+        return singletons / t + reduce(add, map(terms.__getitem__, values), 0.0)
+
     def mce(x: int) -> float:
         check_element(x, n)
         s = x.bit_count()
         w = max(s - 1, 0)
         while slots[w] is None or slots[w][0] & ~x:
             w -= 1
-        base, parts, singletons = slots[w]
         if w < s - 1 and (s > _KERNEL_MAX_WIDTH or t < _KERNEL_ROWS_PER_PART << s):
-            return mce_cost(samples, x)
+            return coarse(x)
+        base, parts, singletons = slots[w]
         rest = x ^ base
         while rest:
             b = rest & -rest
@@ -334,13 +416,7 @@ def _mce_kernel(samples: SampleTable) -> Callable[[int], float]:
         mixed.sort(key=_first_item, reverse=True)
         acc = 0.0
         for _, count, ones in mixed:
-            key = count, ones
-            term = terms.get(key)
-            if term is None:
-                p0 = (count - ones) / count
-                p1 = ones / count
-                term = terms[key] = -(p0 * math.log2(p0) + p1 * math.log2(p1)) * (count / t)
-            acc += term
+            acc += terms[count | ones << shift]
         return singletons / t + acc
 
     return mce

@@ -1,7 +1,19 @@
+from pathlib import Path
+
 import pytest
 
+import ucurve
 from ucurve.cost import Instance
 from ucurve.lattice import LOWER, UPPER, RestrictionSet, check_element
+
+
+def package_path() -> str:
+    """The directory this suite imported ucurve from, for a child interpreter's path.
+
+    A subprocess test puts it first, so that the child runs the same code
+    as the tests in this process, a mutated copy included.
+    """
+    return str(Path(ucurve.__file__).resolve().parents[1])
 
 
 def adjacent_elements(x: int, n: int) -> list[int]:

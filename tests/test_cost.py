@@ -283,15 +283,18 @@ def neighbour_walk(n, seed):
 def kernel_equals_reference(table):
     """The instance kernel against the reference scan, compared with ==.
 
-    The kernel's slots depend on the masks it was asked for before, so each
-    order gets a fresh kernel: every mask in mask order, in ubb's preorder
-    and in a seeded shuffle, and a walk up and down across neighbours.
+    The kernel's slots and histograms depend on the masks it was asked for
+    before, so each order gets a fresh kernel: every mask in mask order, in
+    ubb's preorder, in a seeded shuffle and by descending width (supersets
+    before subsets, so that every width is coarsened from), and a walk up
+    and down across neighbours.
     """
     n = table.n
     reference = [mce_cost(table, x) for x in range(1 << n)]
     shuffled = list(range(1 << n))
     random.Random(table.t).shuffle(shuffled)
-    orders = (range(1 << n), ubb_preorder(n), shuffled, neighbour_walk(n, table.t))
+    descending = sorted(range(1 << n), key=int.bit_count, reverse=True)
+    orders = (range(1 << n), ubb_preorder(n), shuffled, descending, neighbour_walk(n, table.t))
     for order in orders:
         fn = mce_instance(table).cost_function()
         for x in order:
@@ -299,19 +302,28 @@ def kernel_equals_reference(table):
             assert value == reference[x], (x, value, reference[x])
 
 
-def record_scans(monkeypatch):
-    """Make mce_cost record each mask it scans: (the list, the unpatched mce_cost)."""
+def record_coarsenings(monkeypatch, n):
+    """Make the kernel's _coarsen record each mask it coarsens: a list of (mask, source).
+
+    The source is the mask whose cached histogram was merged, told apart by
+    the histogram's identity; one that no recorded call returned is the
+    full mask's, (1 << n) - 1.
+    """
     import ucurve.cost as costmod
 
     calls = []
-    reference = costmod.mce_cost
+    made = {}  # id of each returned histogram -> (the histogram, kept alive; its mask)
+    coarsen = costmod._coarsen
 
-    def counted(samples, x):
-        calls.append(x)
-        return reference(samples, x)
+    def recorded(histogram, x):
+        _, source = made.get(id(histogram), (None, (1 << n) - 1))
+        merged = coarsen(histogram, x)
+        made[id(merged)] = merged, x
+        calls.append((x, source))
+        return merged
 
-    monkeypatch.setattr(costmod, "mce_cost", counted)
-    return calls, reference
+    monkeypatch.setattr(costmod, "_coarsen", recorded)
+    return calls
 
 
 class TestMceKernel:
@@ -356,32 +368,38 @@ class TestMceKernel:
     def test_equals_reference_on_every_mask_of_a_wide_table(self, seed):
         kernel_equals_reference(generate_sample_table(12, 1000, seed))
 
-    def test_scan_runs_only_outside_the_rule(self, monkeypatch):
+    def test_no_order_calls_the_reference_scan(self, monkeypatch):
         import ucurve.cost as costmod
 
         calls = []
-        reference = costmod.mce_cost
+        monkeypatch.setattr(costmod, "mce_cost", lambda samples, x: calls.append(x))
+        coarsened = record_coarsenings(monkeypatch, 9)
+        # at 100 rows the row bound, 8 * 2**s, sends every width from 4 up
+        kernel_equals_reference(generate_sample_table(9, 100, 5))
+        assert {x.bit_count() for x, _ in coarsened} == set(range(4, 10))
+        assert calls == []
 
-        def counted(samples, x):
-            calls.append(x)
-            return reference(samples, x)
-
-        monkeypatch.setattr(costmod, "mce_cost", counted)
-        wide = mce_instance(generate_sample_table(12, 2000, 4)).cost_function()
+    def test_coarsening_runs_only_outside_the_rule(self, monkeypatch):
+        full = (1 << 12) - 1
+        calls = record_coarsenings(monkeypatch, 12)
+        table = generate_sample_table(12, 2000, 4)
+        wide = mce_instance(table).cost_function()
         for x in range(1 << 12):
             if x.bit_count() <= 6:
                 wide(x)
         assert calls == []
+        # slot 6 holds the last mask of width 6, features 6-11, so each of
+        # these is coarsened from the full mask's histogram
         sevens = [x for x in range(1 << 12) if x.bit_count() == 7][:5]
         for x in sevens:
-            wide(x)
-        assert calls == sevens
+            assert wide(x) == mce_cost(table, x)
+        assert calls == [(x, full) for x in sevens]
         # the row bound: width 6 needs 8 * 2**6 = 512 rows
         del calls[:]
         six = 0b111111
         short = generate_sample_table(12, 511, 4)
-        mce_instance(short).cost_function()(six)
-        assert calls == [six]
+        assert mce_instance(short).cost_function()(six) == mce_cost(short, six)
+        assert calls == [(six, full)]
         del calls[:]
         mce_instance(generate_sample_table(12, 512, 4)).cost_function()(six)
         assert calls == []
@@ -389,8 +407,10 @@ class TestMceKernel:
     @pytest.mark.parametrize("seed", [3, 8])
     def test_ubb_never_scans_the_rows(self, monkeypatch, seed):
         # ubb evaluates a mask after its subset one feature smaller and after
-        # no other mask of that width, so it always refines from the slot below
-        calls, _ = record_scans(monkeypatch)
+        # no other mask of that width, so it always refines from the slot
+        # below: it never coarsens, so it never builds the full mask's
+        # histogram either
+        calls = record_coarsenings(monkeypatch, 12)
         fn = mce_instance(generate_sample_table(12, 1000, seed)).cost_function()
         order = []
 
@@ -403,24 +423,48 @@ class TestMceKernel:
         assert calls == []
 
     def test_a_sibling_in_the_slot_below_is_not_refined(self, monkeypatch):
-        calls, reference = record_scans(monkeypatch)
+        full = (1 << 12) - 1
+        calls = record_coarsenings(monkeypatch, 12)
         table = generate_sample_table(12, 1000, 4)
         fn = mce_instance(table).cost_function()
         # slot 1 holds {1} when {0, 2} comes: refined from all rows instead
         for x in (0b1, 0b10, 0b101):
-            assert fn(x) == reference(table, x)
+            assert fn(x) == mce_cost(table, x)
         # slot 3 is empty and slot 2 holds {0, 2} when {0, 1, 2, 3} comes:
-        # refined from slot 2 by features 1 and 3, with no scan
-        assert fn(0b1111) == reference(table, 0b1111)
+        # refined from slot 2 by features 1 and 3
+        assert fn(0b1111) == mce_cost(table, 0b1111)
         assert calls == []
         # slot 6 holds features 0-5 when features 1-7 come: too wide to
-        # refine from all rows, so scanned
+        # refine from slot 1, so coarsened from the full mask's histogram
         six, sibling = 0b111111, 0b11111110
         for x in (six, six | 1 << 6):
-            assert fn(x) == reference(table, x)
+            assert fn(x) == mce_cost(table, x)
         assert calls == []
-        assert fn(sibling) == reference(table, sibling)
-        assert calls == [sibling]
+        assert fn(sibling) == mce_cost(table, sibling)
+        assert calls == [(sibling, full)]
+        # each later mask is coarsened from the narrowest cached superset:
+        # features 1-11, then 2-11 from it, 3-11 from 2-11, and features 1
+        # and 3-8 from 1-11, the one superset among the three narrower masks
+        del calls[:]
+        masks = (0xFFE, 0xFFC, 0xFF8, 0x1FA)
+        for x in masks:
+            assert fn(x) == mce_cost(table, x)
+        assert calls == list(zip(masks, (full, 0xFFE, 0xFFC, 0xFFE)))
+
+    def test_the_last_eight_coarsened_histograms_are_kept(self, monkeypatch):
+        full = (1 << 12) - 1
+        calls = record_coarsenings(monkeypatch, 12)
+        table = generate_sample_table(12, 1000, 4)
+        elevens = [full ^ 1 << b for b in range(12)]
+        for kept in (True, False):
+            fn = mce_instance(table).cost_function()
+            # eight masks of width 11 after the first keep it; a ninth evicts it
+            for x in elevens[: 8 if kept else 9]:
+                fn(x)
+            # features 1-10, a subset of the first mask only
+            del calls[:]
+            assert fn(0x7FE) == mce_cost(table, 0x7FE)
+            assert calls == [(0x7FE, elevens[0] if kept else full)]
 
     @pytest.mark.parametrize("x", [-1, 1 << 12, 1 << 40])
     def test_out_of_range_mask_rejected(self, x):

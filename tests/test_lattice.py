@@ -2,14 +2,13 @@ import os
 import subprocess
 import sys
 import unittest.mock
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ucurve.lattice
-from conftest import adjacent_elements, in_current_space
+from conftest import adjacent_elements, in_current_space, package_path
 from ucurve.lattice import (
     LOWER,
     UPPER,
@@ -350,9 +349,8 @@ class TestInsertSeed:
             "except RuntimeError as exc:\n"
             "    print('raised:', exc)\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_path(), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
         )

@@ -4,10 +4,10 @@ import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import package_path
 from ucurve.cost import Instance, SampleTable
 from ucurve.harness import ExperimentConfig
 from ucurve.report import SearchReport
@@ -16,9 +16,8 @@ from ucurve.ubb import ubb_solve
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     # -S keeps site-packages (and whatever they import at start-up) out of the check
-    src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
-        f"import sys; sys.path.insert(0, {src!r})\n"
+        f"import sys; sys.path.insert(0, {package_path()!r})\n"
         "import ucurve, ucurve.harness, ucurve.cli\n"
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )

@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 import unittest.mock
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 import ucurve.lattice
 import ucurve.ucs
-from conftest import NoMinimumLossObserver, brute_minima, in_current_space
+from conftest import NoMinimumLossObserver, brute_minima, in_current_space, package_path
 from ucurve.cost import (
     CostEvaluator,
     Instance,
@@ -501,9 +500,8 @@ class TestFlagSoundnessCheck:
             "except RuntimeError as exc:\n"
             "    print('raised:', exc)\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_path(), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
         )

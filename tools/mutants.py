@@ -7,7 +7,9 @@ that replaces it, and the tests that must catch the change. For each
 mutant the script copies src/ to a temporary directory, applies the
 change there and runs those tests with PYTHONPATH on the copy; the tests
 themselves are read from tests/ unchanged. The tests must import the
-package in-process, so that they see the copy. Before any mutant, the
+package in-process, so that they see the copy; one that starts a child
+interpreter puts the directory the suite imported from first on the
+child's path (tests/conftest.py, package_path). Before any mutant, the
 union of the listed tests runs once on an unchanged copy and must pass.
 Then the mutants run two at a time, each from its own directory, so that
 no two runs share a Hypothesis database; results print in list order.
@@ -48,6 +50,7 @@ DEAD_NODES = ["tests/test_ucs.py::TestDfs::test_dead_nodes_are_never_expanded_or
 MCE_WIDE = [
     "tests/test_cost.py::TestMceKernel::test_equals_reference_on_every_mask_of_a_wide_table[3]"
 ]
+SIBLING = "tests/test_cost.py::TestMceKernel::test_a_sibling_in_the_slot_below_is_not_refined"
 CURSOR = [
     "tests/test_lattice.py::TestMinMaxElements::test_cursor_steps_to_the_bit_reversed_neighbour",
     "tests/test_lattice.py::TestMinMaxElements::test_cursor_matches_greedy_and_enumeration",
@@ -192,6 +195,14 @@ MUTANTS = [
         ["tests/test_ucs.py::TestFlagSoundnessCheck::test_corrupted_seed_flag_raises"],
     ),
     (
+        # the same change, caught by the test that runs it in a python -O child
+        "check_flag that never raises, under python -O",
+        UCS,
+        "        if not covered(element ^ b):\n",
+        "        if False:\n",
+        ["tests/test_ucs.py::TestFlagSoundnessCheck::test_check_survives_optimized_mode"],
+    ),
+    (
         "antichain scan without the flip",
         LATTICE,
         "        x ^= self._flip\n"
@@ -227,7 +238,7 @@ MUTANTS = [
         COST,
         "while slots[w] is None or slots[w][0] & ~x:",
         "while slots[w] is None:",
-        ["tests/test_cost.py::TestMceKernel::test_a_sibling_in_the_slot_below_is_not_refined"],
+        [SIBLING],
     ),
     (
         "mce one-row table whose width-0 slot holds its row as a part",
@@ -237,11 +248,32 @@ MUTANTS = [
         ["tests/test_cost.py::TestMceKernel::test_equals_reference_on_edge_tables[rows0]"],
     ),
     (
-        "mce term memo keyed by the row count alone",
+        "mce term looked up by the row count alone",
         COST,
-        "            key = count, ones\n",
-        "            key = count\n",
+        "            acc += terms[count | ones << shift]\n",
+        "            acc += terms[count]\n",
         MCE_WIDE,
+    ),
+    (
+        "mce coarsening from a cached mask without the superset test",
+        COST,
+        "if not x & ~y and y.bit_count() < source.bit_count():",
+        "if y.bit_count() < source.bit_count():",
+        [SIBLING],
+    ),
+    (
+        "mce histogram cached under its source's mask",
+        COST,
+        "merged = histograms[x] = _coarsen(histogram, x)",
+        "merged = histograms[source] = _coarsen(histogram, x)",
+        [SIBLING],
+    ),
+    (
+        "mce coarsened singletons counted for label 0 only",
+        COST,
+        "singletons = values.count(1) + values.count(lone_one)",
+        "singletons = values.count(1)",
+        ["tests/test_cost.py::TestMceKernel::test_equals_reference_on_small_tables"],
     ),
 ]
 
