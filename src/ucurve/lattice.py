@@ -6,9 +6,8 @@ characteristic vector puts feature 0 in the leftmost character, so
 ``"1110"`` is the mask 0b0111. All solvers share this encoding.
 
 The module provides the textual form, restriction antichains with
-interval coverage tests, extraction of minimal/maximal elements of the
-remaining search space, and the test for when nothing is left to search
-but blocked inserts.
+interval coverage tests, and extraction of minimal/maximal elements of
+the remaining search space.
 """
 
 from __future__ import annotations
@@ -76,10 +75,11 @@ class RestrictionSet:
 
     For n <= 20 a per-degree coverage bitmap is the set's one record of
     its members and coverage. Each byte tags one lattice element: 0
-    uncovered, 1 covered, 2 antichain member; the tag-2 bytes are the
-    antichain, and ``members`` reads them off. ``_flip`` is 0 for LOWER
-    and ``full`` for UPPER; XOR with it maps UPPER onto LOWER, so both
-    orientations share one code path. Take LOWER. Marking walks a spanning tree of the new interval: a child
+    uncovered, 1 covered, 2 a member when inserted; the tag-2 bytes contain
+    the antichain (see ``insert_seed``), and ``members`` reads it off them.
+    ``_flip`` is 0 for LOWER and ``full`` for UPPER; XOR with it maps
+    UPPER onto LOWER, so both orientations share one code path. Take
+    LOWER. Marking walks a spanning tree of the new interval: a child
     reached from x by clearing bit b may only clear bits above b further
     (exactly the bits its parent has still to try), and the walk stops at
     a child that is already covered. The uncovered part of the lattice is
@@ -104,10 +104,18 @@ class RestrictionSet:
     ``insert_seed`` is the insert for the answer of ``minimal_element``
     (LOWER) or ``maximal_element`` (UPPER). That answer's proper subsets
     (supersets) are all covered already, so its insert covers the answer
-    alone: the marking walk stops at each of the answer's n neighbours on
-    that side, demoting those that are members. It checks the mask's
-    range and that the mask is uncovered, then calls ``_insert``. It makes
-    no ``covers`` call, so ``covers`` is called once per ``update``.
+    alone, and with the bitmap it writes the answer's tag 2 and nothing
+    else. A member among the answer's n neighbours on that side keeps its
+    tag 2 though the answer now contains it: a stale tag. Only ``members``
+    and ucs's DFS liveness test tell tag 2 from tag 1. ``members`` keeps a
+    tag-2 mask x only if none of its outward neighbours ``x ^ b``, for the
+    bits b of ``full ^ x ^ _flip`` (the supersets for LOWER), is covered.
+    The covered part of a LOWER set is closed downward, so that leaves the
+    tag-2 masks with no covered proper superset: the exact antichain. The
+    DFS never meets a stale tag (see ucs). Without the bitmap the insert
+    is ``_absorb``. It checks the mask's range and that the mask is
+    uncovered first. It makes no ``covers`` call, so ``covers`` is called
+    once per ``update``.
 
     ``full`` is the mask of all n features.
 
@@ -155,10 +163,19 @@ class RestrictionSet:
         cover = self._cover
         if cover is None:
             return sorted(m ^ self._flip for m in self._members)
+        outward = self.full ^ self._flip
         found = []
         x = cover.find(2)
         while x >= 0:
-            found.append(x)
+            # a stale tag 2 has a covered outward neighbour
+            bits = outward ^ x
+            while bits:
+                b = bits & -bits
+                if cover[x ^ b]:
+                    break
+                bits ^= b
+            else:
+                found.append(x)
             x = cover.find(2, x + 1)
         return found
 
@@ -193,7 +210,11 @@ class RestrictionSet:
             raise ValueError(f"element {x} out of range for degree {self.n}")
         if self.covered(x):
             raise RuntimeError(f"seed {x:#x} is covered already")
-        self._insert(x)
+        cover = self._cover
+        if cover is None:
+            self._absorb(x)
+        else:
+            cover[x] = 2
 
     def _absorb(self, x: int) -> None:
         """Insert uncovered x into the antichain without a bitmap."""
@@ -206,8 +227,7 @@ class RestrictionSet:
         members[x] = None
 
     def __len__(self) -> int:
-        cover = self._cover
-        return len(self._members) if cover is None else cover.count(2)
+        return len(self.members)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
@@ -304,12 +324,11 @@ def minimal_element(r_lower: RestrictionSet) -> int | None:
     instead. Coverage only ever grows, so every mask the cursor has passed
     stays covered and the first uncovered mask never lies behind it: the
     answer is the same element, and a whole run of queries costs O(2**n)
-    steps in total rather than O(n) lookups per query. The invariant,
-    which ``blocked_tail`` relies on, is that every mask before the cursor
-    in bit-reversed order is covered. A step is a
-    bit-reversed increment, which clears the run of set bits at the top and
-    sets the highest clear bit h below it, that is, flips h and every bit
-    above it. With ``h = 1 << ((full ^ x).bit_length() - 1)`` that is
+    steps in total rather than O(n) lookups per query. The invariant is
+    that every mask before the cursor in bit-reversed order is covered.
+    A step is a bit-reversed increment, which clears the run of set bits
+    at the top and sets the highest clear bit h below it, that is, flips
+    h and every bit above it. With ``h = 1 << ((full ^ x).bit_length() - 1)`` that is
     ``x ^= full ^ (h - 1)``, with no loop over the bits. The walk is
     ``_extreme``, shared with maximal_element.
     """
@@ -331,27 +350,3 @@ def maximal_element(r_upper: RestrictionSet) -> int | None:
         raise ValueError("maximal_element needs an UPPER restriction collection")
     return _extreme(r_upper)
 
-
-def blocked_tail(r_lower: RestrictionSet, r_upper: RestrictionSet) -> tuple[int, int] | None:
-    """The counts of masks left uncovered by r_lower and by r_upper, once
-    every mask is covered by one of them; None before that.
-
-    The cursors of minimal_element and maximal_element tell, without a
-    scan, when that point is reached. Every mask before the lower cursor in
-    bit-reversed order is lower-covered and every mask after the upper
-    cursor is upper-covered, so once the lower cursor lies after the upper
-    one, every mask is covered on some side. Bit-reversed order compares
-    the lowest differing bit first, so the lower cursor lies after the upper
-    one iff it holds their lowest differing bit. The crossing is
-    sufficient, not necessary: every mask may be covered some cursor steps
-    before the cursors cross. From then on a minimal (maximal) element is
-    covered on the other side, and its insert covers that mask alone.
-    Without a bitmap there are no cursors, and the answer is None.
-    """
-    if r_lower._cover is None:
-        return None
-    lo = r_lower._cursor
-    d = lo ^ r_upper._cursor
-    if not lo & d & -d:
-        return None
-    return r_lower._cover.count(0), r_upper._cover.count(0)

@@ -32,19 +32,14 @@ every node with an empty flag is covered on that side by then.
 
 A is minimal (maximal), so the rest of its interval is gone already and
 its removal covers A alone: RestrictionSet.insert_seed does it without a
-coverage query, and with the bitmap its marking walk ends at the root
-step, a look at A's n neighbours on that side. Many iterations of a run
-are blocked, A already being covered on the opposite side, and evaluate
-nothing; that insert, the cursor step of
-minimal_element/maximal_element and the direction draw are the part of a
-run's cost that does not grow with the nodes it evaluates. Blocked
-iterations are walked only until the two cursors cross
-(lattice.blocked_tail): from then on every mask is covered on some side,
-each further iteration is a blocked insert that covers one mask on its
-side, and the run ends at the first draw on a side with nothing left. An
-untraced run therefore counts the rest of its iterations off the draws
-and the per-side counts of uncovered masks; a traced run walks them, since
-each one is a restrict event.
+coverage query, and with the bitmap it writes A's tag and nothing else.
+A member among A's neighbours on that side keeps a stale tag 2. The DFS
+never reads one: a seed is inserted while no node is stacked, and a
+covered mask is never pushed. Many iterations of a run are blocked, A
+already being covered on the opposite side, and evaluate nothing; that
+insert, the cursor step of minimal_element/maximal_element and the
+direction draw are the part of a run's cost that does not grow with the
+nodes it evaluates.
 
 A run never shares state. Each node reads its cost from the evaluator
 once, when it is pushed (a DFS seed when the main loop picks it), and the
@@ -69,7 +64,6 @@ from .lattice import (
     LOWER,
     UPPER,
     RestrictionSet,
-    blocked_tail,
     maximal_element,
     minimal_element,
 )
@@ -292,28 +286,6 @@ def dfs(
             upper_pruning(y, r_upper, on_event)
 
 
-def tail_iterations(
-    draw: Callable[[], float], p_up: float, left_lower: int, left_upper: int
-) -> int:
-    """The main-loop iterations left once every mask is covered on some side.
-
-    Each further draw takes a blocked insert that covers one of the
-    left_lower (left_upper) masks still uncovered on its side, until a draw
-    finds its side with none left; that last iteration is counted too.
-    """
-    iterations = 0
-    while True:
-        iterations += 1
-        if draw() < p_up:
-            if not left_lower:
-                return iterations
-            left_lower -= 1
-        else:
-            if not left_upper:
-                return iterations
-            left_upper -= 1
-
-
 def ucs_solve(
     n: int | None,
     cost: Instance | Callable[[int], float],
@@ -357,11 +329,6 @@ def ucs_solve(
             if on_event:
                 on_event({"event": "restrict", "side": own.orientation, "element": a})
             if blocked:
-                if not on_event:
-                    tail = blocked_tail(r_lower, r_upper)
-                    if tail is not None:
-                        minmax_calls += tail_iterations(draw, p_up, *tail)
-                        break
                 continue
             # a's own side is gone: only its bits toward the other side are left
             rest = a if own is r_upper else full ^ a

@@ -442,10 +442,23 @@ class TestUcsSolve:
         assert report.dfs_calls <= report.minmax_calls
         assert report.time_in_cost <= report.wall_time
 
+    @staticmethod
+    def single_path_cases():
+        # subset_sum n=1..12, p_up at both extremes and between,
+        # unbudgeted, budgeted and stopped at the optimum
+        for n in range(1, 13):
+            inst = generate_subset_sum_instance(n, 40 + n)
+            best = exhaustive_solve(n, inst).best_cost
+            for p_up in (0, 0.3, 0.5, 1):
+                for stop in ({}, {"node_budget": 2**n // 4}, {"cost_target": best}):
+                    yield n, inst, dict(seed=n, p_up=p_up, **stop)
+
     @pytest.mark.parametrize("traced", [False, True])
     def test_blocked_tail_is_counted_not_walked(self, monkeypatch, traced):
-        # an untraced run stops calling the cursors once they cross and
-        # counts the rest of its iterations; a traced run walks them all
+        # the name dates from when an untraced run stopped at the cursor
+        # crossing and counted its blocked tail off the draws; every run now
+        # walks that tail, so traced or not there is one cursor call per
+        # main-loop iteration
         calls = 0
 
         def counted(extreme):
@@ -458,12 +471,22 @@ class TestUcsSolve:
 
         monkeypatch.setattr(ucurve.ucs, "minimal_element", counted(ucurve.lattice.minimal_element))
         monkeypatch.setattr(ucurve.ucs, "maximal_element", counted(ucurve.lattice.maximal_element))
-        inst = generate_subset_sum_instance(10, 3)
-        report = ucs_solve(10, inst, seed=2, on_event=(lambda event: None) if traced else None)
-        if traced:
-            assert calls == report.minmax_calls
-        else:
-            assert calls < report.minmax_calls
+        on_event = (lambda event: None) if traced else None
+        for n, inst, kwargs in self.single_path_cases():
+            calls = 0
+            report = ucs_solve(n, inst, on_event=on_event, **kwargs)
+            assert calls == report.minmax_calls, (n, kwargs)
+
+    def test_traced_and_untraced_runs_agree(self):
+        # a blocked iteration takes one path whether or not on_event is given,
+        # so both runs give equal reports, wall-clock fields aside
+        clock = ("wall_time_sec", "time_in_cost_sec", "time_other_sec")
+        for n, inst, kwargs in self.single_path_cases():
+            reports = []
+            for on_event in (None, lambda event: None):
+                d = ucs_solve(n, inst, on_event=on_event, **kwargs).to_dict()
+                reports.append({k: v for k, v in d.items() if k not in clock})
+            assert reports[0] == reports[1], (n, kwargs)
 
 
 class TestFlagSoundnessCheck:

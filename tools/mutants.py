@@ -38,6 +38,7 @@ REPO = Path(__file__).resolve().parents[1]
 LATTICE = "ucurve/lattice.py"
 COST = "ucurve/cost.py"
 UCS = "ucurve/ucs.py"
+HARNESS = "ucurve/harness.py"
 TARGET = [
     "tests/test_cost.py::TestEvaluator::test_cost_target_latches",
     "tests/test_report.py::test_the_evaluation_that_meets_the_target_is_the_last",
@@ -55,6 +56,10 @@ CURSOR = [
     "tests/test_lattice.py::TestMinMaxElements::test_cursor_steps_to_the_bit_reversed_neighbour",
     "tests/test_lattice.py::TestMinMaxElements::test_cursor_matches_greedy_and_enumeration",
 ]
+UNTRACED = (
+    "tests/test_ucs_trajectories.py::TestGoldenTrajectories::test_fixture_reproduced_untraced"
+)
+SEED = "tests/test_lattice.py::TestInsertSeed::test_same_state_as_update"
 MARKING = [
     "tests/test_lattice.py::TestCovers::test_matches_brute_force_with_and_without_bitmap",
     "tests/test_lattice.py::TestUpdate::test_update_preserves_coverage_semantics",
@@ -105,20 +110,27 @@ MUTANTS = [
         "            elif tag == 2:\n",
         "            elif tag == 2 and y != x:\n",
         [
-            "tests/test_lattice.py::TestUpdate::test_absorbs_proper_subset",
-            "tests/test_lattice.py::TestUpdate::test_members_stay_an_antichain",
+            UNTRACED,
             "tests/test_lattice.py::TestBitmapAntichain::test_bitmap_tags_exactly_the_members",
         ],
     ),
     (
-        "blocked_tail's crossing test negated",
+        "seed insert that writes tag 1",
         LATTICE,
-        "    if not lo & d & -d:\n",
-        "    if lo & d & -d:\n",
-        [
-            "tests/test_lattice.py::TestBlockedTail::test_counts_only_when_every_mask_is_covered",
-            "tests/test_ucs_trajectories.py::TestGoldenTrajectories::test_fixture_reproduced_untraced",
-        ],
+        "        else:\n"
+        "            cover[x] = 2\n",
+        "        else:\n"
+        "            cover[x] = 1\n",
+        [UNTRACED, SEED],
+    ),
+    (
+        "members that keeps a seed insert's stale tags",
+        LATTICE,
+        "                if cover[x ^ b]:\n"
+        "                    break\n",
+        "                if False:\n"
+        "                    break\n",
+        [SEED],
     ),
     (
         "greedy walk from the full set on both sides",
@@ -129,6 +141,23 @@ MUTANTS = [
             "tests/test_lattice.py::TestMinMaxElements::test_minimal_is_sound_against_enumeration",
             "tests/test_lattice.py::TestMinMaxElements::test_maximal_is_sound_against_enumeration",
         ],
+    ),
+    (
+        "subset-sum tables read 7 bits apart",
+        COST,
+        "            x >>= 8\n",
+        "            x >>= 7\n",
+        [
+            "tests/test_cost.py::TestSubsetSumKernel::test_every_mask_of_small_degrees",
+            "tests/test_cost.py::TestSubsetSumKernel::test_sampled_masks_across_table_boundaries",
+        ],
+    ),
+    (
+        "threshold groups of one instance in mean scope",
+        HARNESS,
+        "(size, idx) if per_instance else (size,)",
+        "(size, idx)",
+        ["tests/test_harness.py::TestRunSuboptimal::test_mean_scope_end_to_end"],
     ),
     (
         "an evaluator that meets the target without raising",
@@ -185,7 +214,7 @@ MUTANTS = [
         UCS,
         "    costly.adjacent &= ~(costly.element ^ r._flip)\n",
         "    costly.adjacent = 0\n",
-        ["tests/test_ucs_trajectories.py::TestGoldenTrajectories::test_fixture_reproduced_untraced"],
+        [UNTRACED],
     ),
     (
         "check_flag that never raises",
