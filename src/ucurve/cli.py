@@ -17,6 +17,7 @@ from .cost import load_instance, load_samples, mce_instance, save_instance, veri
 from .harness import ALGORITHMS, ExperimentConfig, run_benchmark, run_solver, seeded_instances
 from .lattice import render_element
 from .oracle import find_counterexample
+from .ucs import DEFAULT_P_UP
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -42,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", type=Path, required=True, help="output directory")
     gen.add_argument("--weight-max", type=int, default=costmod.DEFAULT_WEIGHT_MAX)
-    gen.add_argument("--rows", type=int, default=200, help="sample rows per mce table")
-    gen.add_argument("--noise", type=float, default=0.1, help="mce label noise")
+    gen.add_argument("--rows", type=int, default=costmod.DEFAULT_SAMPLE_ROWS, help="mce table rows")
+    gen.add_argument("--noise", type=float, default=costmod.DEFAULT_SAMPLE_NOISE, help="label noise")
     gen.set_defaults(func=cmd_generate)
 
     solve = sub.add_parser("solve", help="run one solver on one instance")
@@ -52,13 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=ALGORITHMS,
     )
-    solve.add_argument("--instance", type=Path, help="instance JSON file")
+    solve.add_argument("--instance", type=Path, help="instance file: JSON, or a .txt sample table")
     solve.add_argument("--samples", type=Path, help="sample table file (entropy cost)")
     stop = solve.add_mutually_exclusive_group()
     stop.add_argument("--budget", type=int, help="node budget")
     stop.add_argument("--cost-target", type=float, help="stop once a cost <= target is found")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--p-up", type=float, default=0.5)
+    solve.add_argument("--p-up", type=float, default=DEFAULT_P_UP)
     solve.add_argument("--trace", action="store_true", help="emit JSON event lines to stderr")
     solve.add_argument("--out", type=Path, help="write the report JSON here instead of stdout")
     solve.set_defaults(func=cmd_solve)
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--instance", type=Path)
     verify.add_argument("--samples", type=Path)
     verify.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    verify.add_argument("--chains", type=int, default=1000)
+    verify.add_argument("--chains", type=int, default=costmod.DEFAULT_CHAINS)
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=cmd_verify)
 
@@ -88,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     finder.add_argument("--trials", type=int, default=10_000)
     finder.add_argument("--seed", type=int, default=0)
     finder.add_argument("--out", type=Path, required=True, help="fixture instance JSON")
-    finder.add_argument("--weight-max", type=int, default=4)
-    finder.add_argument("--noise", type=float, default=0.0)
+    finder.add_argument("--weight-max", type=int, default=costmod.DEFAULT_PLATEAU_WEIGHT_MAX)
+    finder.add_argument("--noise", type=float, default=costmod.DEFAULT_PLATEAU_NOISE)
     finder.set_defaults(func=cmd_find_counterexample)
 
     return parser
@@ -112,8 +113,8 @@ def cmd_generate(args) -> int:
         kind, args.n, args.count, args.seed, args.weight_max, args.rows, args.noise
     )
     args.out.mkdir(parents=True, exist_ok=True)
-    for name, save, value in outputs:
-        save(value, args.out / name)
+    for name, instance in outputs:
+        save_instance(instance, args.out / name)
         print(args.out / name)
     return EXIT_OK
 

@@ -33,10 +33,11 @@ import json
 import math
 import random
 import time
+from contextlib import contextmanager
 from functools import reduce
 from operator import add, itemgetter
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .lattice import check_degree, check_element, parse_element, render_element
 from .record import FrozenRecord
@@ -50,6 +51,25 @@ EXPLICIT = "explicit"
 MAX_EXPLICIT_DEGREE = 24
 
 DEFAULT_WEIGHT_MAX = 10_000
+
+# generate_sample_table's rows and label noise, as the protocols and
+# `ucurve generate` draw them
+DEFAULT_SAMPLE_ROWS = 200
+DEFAULT_SAMPLE_NOISE = 0.1
+
+# generate_decomposable_explicit's weight range and noise: integer plateaus,
+# the landscape behind the legacy search's counter-example
+DEFAULT_PLATEAU_WEIGHT_MAX = 4
+DEFAULT_PLATEAU_NOISE = 0.0
+
+# maximal chains drawn by a sampled verify_decomposable
+DEFAULT_CHAINS = 1000
+
+# the largest degree an exhaustive verify_decomposable checks
+_VERIFY_MAX_DEGREE = 10
+
+# draws generate_decomposable_explicit makes before it gives up on a noise
+_EXPLICIT_ATTEMPTS = 1000
 
 
 class SampleTable(FrozenRecord):
@@ -542,7 +562,7 @@ class Witness(NamedTuple):
 def verify_decomposable(
     instance: Instance,
     mode: str = "exhaustive",
-    chains: int = 1000,
+    chains: int = DEFAULT_CHAINS,
     seed: int = 0,
 ) -> Witness | None:
     """Check that the instance cost is U-shaped along chains.
@@ -558,8 +578,8 @@ def verify_decomposable(
     fn = instance.cost_function()
     n = instance.n
     if mode == "exhaustive":
-        if n > 10:
-            raise ValueError("exhaustive verification is capped at degree 10")
+        if n > _VERIFY_MAX_DEGREE:
+            raise ValueError(f"exhaustive verification is capped at degree {_VERIFY_MAX_DEGREE}")
         size = 1 << n
         cost = [fn(m) for m in range(size)]
         min_below = cost[:]
@@ -626,14 +646,13 @@ def generate_sample_table(
     n: int,
     rows: int,
     seed: int,
-    planted_size: int | None = None,
-    noise: float = 0.1,
+    noise: float = DEFAULT_SAMPLE_NOISE,
 ) -> SampleTable:
     """Synthetic sample table with a planted informative feature subset.
 
-    The label is the parity of the planted features, flipped with the given
-    noise probability, which must lie in [0, 1]; the remaining features are
-    uninformative.
+    The label is the parity of max(1, n // 3) planted features, flipped with
+    the given noise probability, which must lie in [0, 1]; the remaining
+    features are uninformative.
     """
     check_degree(n)
     if rows < 1:
@@ -641,10 +660,8 @@ def generate_sample_table(
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise must be a probability within [0, 1], got {noise}")
     rng = random.Random(seed)
-    if planted_size is None:
-        planted_size = max(1, n // 3)
     planted = 0
-    for b in rng.sample(range(n), planted_size):
+    for b in rng.sample(range(n), max(1, n // 3)):
         planted |= 1 << b
     out = []
     for _ in range(rows):
@@ -659,9 +676,8 @@ def generate_sample_table(
 def generate_decomposable_explicit(
     n: int,
     seed: int,
-    weight_max: int = 4,
-    noise: float = 0.0,
-    max_attempts: int = 1000,
+    weight_max: int = DEFAULT_PLATEAU_WEIGHT_MAX,
+    noise: float = DEFAULT_PLATEAU_NOISE,
 ) -> Instance:
     """Random explicit instance that is U-shaped along every chain.
 
@@ -669,20 +685,23 @@ def generate_decomposable_explicit(
     independent integer weight vectors: the first term falls along any
     chain, the second rises, so their maximum is U-shaped on every chain by
     construction. Integer weights leave exact plateaus, the landscape class
-    where the uncorrected search loses minima. Optional uniform noise
-    reshapes the plateaus; noisy candidates are rejected and redrawn until
-    the chain shape verifies (noise=0 always passes). A negative weight_max,
-    a negative or non-finite noise, and a noise so large that max_attempts
-    draws all fail raise ValueError.
+    where the uncorrected search loses minima. Without noise the first table
+    drawn is returned unchecked. Optional uniform noise reshapes the
+    plateaus; noisy candidates are rejected and redrawn until exhaustive
+    verification passes, so noise needs a degree of at most 10. A negative
+    weight_max, a negative or non-finite noise, noise above degree 10, and a
+    noise so large that every draw fails raise ValueError.
     """
     check_degree(n)
     if weight_max < 0:
         raise ValueError(f"weight_max must not be negative, got {weight_max}")
     if not (noise >= 0 and math.isfinite(noise)):
         raise ValueError(f"noise must be finite and not negative, got {noise}")
+    if noise and n > _VERIFY_MAX_DEGREE:
+        raise ValueError(f"noise is verified exhaustively, only up to degree {_VERIFY_MAX_DEGREE}")
     rng = random.Random(seed)
     size = 1 << n
-    for _ in range(max_attempts):
+    for _ in range(_EXPLICIT_ATTEMPTS):
         omit = [rng.randint(0, weight_max) for _ in range(n)]
         include = [rng.randint(0, weight_max) for _ in range(n)]
         total_omit = sum(omit)
@@ -701,15 +720,23 @@ def generate_decomposable_explicit(
             for m in range(size)
         )
         instance = Instance(n=n, kind=EXPLICIT, costs=costs)
-        if verify_decomposable(instance) is None:
+        if not noise or verify_decomposable(instance) is None:
             return instance
     raise ValueError(
-        f"no decomposable candidate in {max_attempts} attempts: noise {noise} is too large"
+        f"no decomposable candidate in {_EXPLICIT_ATTEMPTS} attempts: noise {noise} is too large"
     )
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:
-    """Write the JSON instance form (subset_sum or explicit kinds)."""
+    """Write an instance file of any kind, in the form parse_instance reads.
+
+    An mce instance is written as its sample table, the bytes save_samples
+    writes, so its path should end in .txt; subset_sum and explicit
+    instances are written as JSON.
+    """
+    if instance.kind == MCE:
+        save_samples(instance.samples, path)
+        return
     if instance.kind == SUBSET_SUM:
         payload = {
             "n": instance.n,
@@ -717,7 +744,7 @@ def save_instance(instance: Instance, path: str | Path) -> None:
             "weights": list(instance.weights),
             "target": instance.target,
         }
-    elif instance.kind == EXPLICIT:
+    else:
         payload = {
             "n": instance.n,
             "kind": EXPLICIT,
@@ -726,9 +753,16 @@ def save_instance(instance: Instance, path: str | Path) -> None:
                 for m in range(1 << instance.n)
             },
         }
-    else:
-        raise ValueError("mce instances are stored as sample files, use save_samples")
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+@contextmanager
+def errors_name(path: str | Path) -> Iterator[None]:
+    """Re-raise a ValueError from the block as one whose message starts with path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_instance(path: str | Path) -> Instance:
@@ -736,43 +770,55 @@ def load_instance(path: str | Path) -> Instance:
 
 
 def parse_instance(text: str, path: str | Path) -> Instance:
-    """The instance in the JSON form save_instance writes; errors name path."""
+    """The instance in the text of any instance file; errors name path.
+
+    The suffix of path picks the form: a .txt file holds a sample table,
+    read as an mce instance, and any other file the JSON form.
+    """
+    with errors_name(path):
+        if Path(path).suffix == ".txt":
+            return mce_instance(_table_from(text))
+        return _instance_from(text)
+
+
+def _instance_from(text: str) -> Instance:
+    """The instance in the JSON form save_instance writes."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        raise ValueError(f"not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
-        raise ValueError(f"{path}: instance file must hold a JSON object")
+        raise ValueError("instance file must hold a JSON object")
     kind = payload.get("kind")
     n = payload.get("n")
     if type(n) is not int:
-        raise ValueError(f"{path}: missing integer field 'n'")
+        raise ValueError("missing integer field 'n'")
     check_degree(n)
     if kind == SUBSET_SUM:
         weights = payload.get("weights")
         target = payload.get("target")
         if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
-            raise ValueError(f"{path}: 'weights' must be a list of ints")
+            raise ValueError("'weights' must be a list of ints")
         if not isinstance(target, int):
-            raise ValueError(f"{path}: 'target' must be an int")
+            raise ValueError("'target' must be an int")
         return Instance(n=n, kind=SUBSET_SUM, weights=tuple(weights), target=target)
     if kind == EXPLICIT:
         raw = payload.get("costs")
         if not isinstance(raw, dict):
-            raise ValueError(f"{path}: 'costs' must be an object")
+            raise ValueError("'costs' must be an object")
         if n > MAX_EXPLICIT_DEGREE:
-            raise ValueError(f"{path}: explicit instances capped at degree {MAX_EXPLICIT_DEGREE}")
+            raise ValueError(f"explicit instances capped at degree {MAX_EXPLICIT_DEGREE}")
         size = 1 << n
         if len(raw) != size:
-            raise ValueError(f"{path}: explicit cost table must have all {size} subsets")
+            raise ValueError(f"explicit cost table must have all {size} subsets")
         costs = [0.0] * size
         for key, value in raw.items():
             m = parse_element(key, n)
             if not is_finite_number(value):
-                raise ValueError(f"{path}: cost of {key!r} must be a finite number")
+                raise ValueError(f"cost of {key!r} must be a finite number")
             costs[m] = float(value)
         return Instance(n=n, kind=EXPLICIT, costs=tuple(costs))
-    raise ValueError(f"{path}: unknown instance kind {kind!r}")
+    raise ValueError(f"unknown instance kind {kind!r}")
 
 
 def save_samples(table: SampleTable, path: str | Path) -> None:
@@ -788,10 +834,16 @@ def load_samples(path: str | Path) -> SampleTable:
 
 def parse_samples(text: str, path: str | Path) -> SampleTable:
     """The table in the text form save_samples writes; errors name path."""
+    with errors_name(path):
+        return _table_from(text)
+
+
+def _table_from(text: str) -> SampleTable:
+    """The table in the text form save_samples writes."""
     raw = text.splitlines()
     lines = [line.strip() for line in raw if line.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty sample file")
+        raise ValueError("empty sample file")
     declared_n = declared_t = None
     if lines[0].startswith("n="):
         head = lines.pop(0).split()
@@ -800,18 +852,18 @@ def parse_samples(text: str, path: str | Path) -> SampleTable:
             declared_n = int(fields["n"])
             declared_t = int(fields["t"])
         except (ValueError, KeyError) as exc:
-            raise ValueError(f"{path}: malformed header {head!r}") from exc
+            raise ValueError(f"malformed header {head!r}") from exc
     rows = []
     n = declared_n
     for line in lines:
         parts = line.split()
         if len(parts) != 2 or parts[1] not in ("0", "1"):
-            raise ValueError(f"{path}: malformed sample row {line!r}")
+            raise ValueError(f"malformed sample row {line!r}")
         if n is None:
             n = len(parts[0])
         rows.append((parse_element(parts[0], n), int(parts[1])))
     if declared_t is not None and declared_t != len(rows):
-        raise ValueError(f"{path}: header declares t={declared_t} but file has {len(rows)} rows")
+        raise ValueError(f"header declares t={declared_t} but file has {len(rows)} rows")
     return SampleTable(n=n, rows=tuple(rows))
 
 

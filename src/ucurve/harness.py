@@ -17,14 +17,14 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import cost as costmod
-from .cost import Instance, mce_instance, parse_instance, parse_samples, save_instance, save_samples
+from .cost import Instance, mce_instance, parse_instance, save_instance
 from .lattice import MAX_DEGREE
 from .oracle import EXHAUSTIVE_MAX_DEGREE, exhaustive_solve, legacy_ucurve_solve
 from .record import Record
 from .report import SearchReport
 from .sffs import sffs_solve
 from .ubb import ubb_solve
-from .ucs import check_p_up, ucs_solve
+from .ucs import DEFAULT_P_UP, check_p_up, ucs_solve
 
 OPTIMAL = "optimal"
 SUBOPTIMAL = "suboptimal"
@@ -92,8 +92,8 @@ class ExperimentConfig(Record):
         mode: str = OPTIMAL,
         threshold_scope: str = "mean",  # or "per-instance"
         weight_max: int = costmod.DEFAULT_WEIGHT_MAX,
-        sample_rows: int = 200,
-        p_up: float = 0.5,
+        sample_rows: int = costmod.DEFAULT_SAMPLE_ROWS,
+        p_up: float = DEFAULT_P_UP,
         jobs: int = 1,
         include_times: bool = True,
     ) -> None:
@@ -135,15 +135,17 @@ class ExperimentConfig(Record):
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
-        unknown = set(payload) - set(cls.__slots__)
-        if unknown:
-            raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-        if "sizes" not in payload:
-            raise ValueError(f"{path}: config lacks the required key 'sizes'")
-        return cls(**payload)
+        """The config in a JSON file; errors name path."""
+        with costmod.errors_name(path):
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(payload, dict):
+                raise ValueError("config must be a JSON object")
+            unknown = set(payload) - set(cls.__slots__)
+            if unknown:
+                raise ValueError(f"unknown config keys {sorted(unknown)}")
+            if "sizes" not in payload:
+                raise ValueError("config lacks the required key 'sizes'")
+            return cls(**payload)
 
 
 def _check_int(name: str, value, low: int | None = None, high: int | None = None) -> None:
@@ -183,13 +185,14 @@ def seeded_instances(
     seed: int,
     weight_max: int,
     sample_rows: int,
-    noise: float = 0.1,
-) -> list[tuple[str, Callable[[object, Path], None], object]]:
-    """Build count seeded instances of one size, each as (file name, save, value).
+    noise: float = costmod.DEFAULT_SAMPLE_NOISE,
+) -> list[tuple[str, Instance]]:
+    """Build count seeded instances of one size, each as (file name, instance).
 
-    save(value, path) writes the file: instance JSON for subset_sum (from
-    weight_max), a sample table for mce (from sample_rows and noise, whose
-    default is generate_sample_table's). Instance idx is seeded by
+    A subset_sum instance is drawn from weight_max, an mce instance's sample
+    table from sample_rows and noise. save_instance writes each to its name
+    and load_instance_checked reads it back: the name's suffix, .json or
+    .txt, is the form cost.py writes for the kind. Instance idx is seeded by
     derive_seed(seed, "instance", size, idx), so the protocols and
     `ucurve generate` write the same files. Nothing is written here, so a
     bad input raises before a caller creates any file.
@@ -198,12 +201,11 @@ def seeded_instances(
     for idx in range(count):
         instance_seed = derive_seed(seed, "instance", size, idx)
         if cost_kind == costmod.SUBSET_SUM:
-            value = costmod.generate_subset_sum_instance(size, instance_seed, weight_max)
-            save = save_instance
+            instance = costmod.generate_subset_sum_instance(size, instance_seed, weight_max)
         else:
-            value = costmod.generate_sample_table(size, sample_rows, instance_seed, noise=noise)
-            save = save_samples
-        built.append((_instance_name(cost_kind, size, idx), save, value))
+            table = costmod.generate_sample_table(size, sample_rows, instance_seed, noise=noise)
+            instance = mce_instance(table)
+        built.append((_instance_name(cost_kind, size, idx), instance))
     return built
 
 
@@ -218,7 +220,7 @@ def prepare_instances(config: ExperimentConfig, workdir: str | Path) -> dict[str
     instance_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict[str, str] = {}
     for size in config.sizes:
-        for name, save, value in seeded_instances(
+        for name, instance in seeded_instances(
             config.cost_kind,
             size,
             config.instances_per_size,
@@ -227,7 +229,7 @@ def prepare_instances(config: ExperimentConfig, workdir: str | Path) -> dict[str
             config.sample_rows,
         ):
             path = instance_dir / name
-            save(value, path)
+            save_instance(instance, path)
             manifest[name] = hashlib.sha256(path.read_bytes()).hexdigest()
     manifest_path = root / "instances_manifest.json"
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -245,10 +247,7 @@ def load_instance_checked(path: Path, expected_hash: str) -> Instance:
     digest = hashlib.sha256(data).hexdigest()
     if digest != expected_hash:
         raise ValueError(f"{path}: content hash mismatch, instance file changed between steps")
-    text = data.decode("utf-8")
-    if path.suffix == ".txt":
-        return mce_instance(parse_samples(text, path))
-    return parse_instance(text, path)
+    return parse_instance(data.decode("utf-8"), path)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,7 @@ def run_solver(
     algorithm: str,
     instance: Instance,
     seed: int = 0,
-    p_up: float = 0.5,
+    p_up: float = DEFAULT_P_UP,
     node_budget: int | None = None,
     cost_target: float | None = None,
     on_event: Callable[[dict], None] | None = None,

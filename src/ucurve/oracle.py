@@ -13,10 +13,16 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .cost import CostEvaluator, Instance, generate_decomposable_explicit
+from .cost import (
+    DEFAULT_PLATEAU_NOISE,
+    DEFAULT_PLATEAU_WEIGHT_MAX,
+    CostEvaluator,
+    Instance,
+    generate_decomposable_explicit,
+)
 from .lattice import LOWER, UPPER, RestrictionSet, maximal_element, minimal_element
 from .report import SearchReport, conclude
-from .ucs import check_p_up
+from .ucs import DEFAULT_P_UP, check_p_up
 
 EXHAUSTIVE_MAX_DEGREE = 24
 
@@ -42,7 +48,7 @@ def legacy_ucurve_solve(
     n: int | None,
     cost: Instance | Callable[[int], float],
     seed: int = 0,
-    p_up: float = 0.5,
+    p_up: float = DEFAULT_P_UP,
     node_budget: int | None = None,
     cost_target: float | None = None,
 ) -> SearchReport:
@@ -151,8 +157,8 @@ def find_counterexample(
     n: int,
     trials: int,
     seed: int,
-    weight_max: int = 4,
-    noise: float = 0.0,
+    weight_max: int = DEFAULT_PLATEAU_WEIGHT_MAX,
+    noise: float = DEFAULT_PLATEAU_NOISE,
 ) -> Instance | None:
     """Search for a chain-U-shaped instance where the legacy search loses the optimum.
 

@@ -100,6 +100,10 @@ class Node:
         )
 
 
+# the chance that a main-loop iteration goes up, for ucs and the legacy search
+DEFAULT_P_UP = 0.5
+
+
 def check_p_up(p_up: float) -> None:
     """Raise ValueError unless p_up is an int or float (not a bool) within [0, 1]."""
     if isinstance(p_up, bool) or not isinstance(p_up, (int, float)) or not 0.0 <= p_up <= 1.0:
@@ -290,7 +294,7 @@ def ucs_solve(
     n: int | None,
     cost: Instance | Callable[[int], float],
     seed: int = 0,
-    p_up: float = 0.5,
+    p_up: float = DEFAULT_P_UP,
     node_budget: int | None = None,
     cost_target: float | None = None,
     on_event: EventCallback | None = None,

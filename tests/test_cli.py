@@ -46,6 +46,24 @@ def test_solve_rejects_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_names_the_instance_file_it_rejects(tmp_path, capsys):
+    bad = tmp_path / "negative.json"
+    bad.write_text(json.dumps({"n": 2, "kind": "subset_sum", "weights": [1, -1], "target": 0}))
+    assert run(["solve", "--algorithm", "ucs", "--instance", bad]) == 3
+    assert f"ucurve: error: {bad}: weights and target must be non-negative" in capsys.readouterr().err
+
+
+def test_instance_reads_a_sample_file_as_samples_does(tmp_path, capsys):
+    samples = tmp_path / "samples.txt"
+    save_samples(generate_sample_table(5, 40, seed=3), samples)
+    reports = []
+    for flag in ("--instance", "--samples"):
+        assert run(["solve", "--algorithm", "ucs", flag, samples]) == 0
+        report = json.loads(capsys.readouterr().out)
+        reports.append({k: v for k, v in report.items() if not k.endswith("_sec")})
+    assert reports[0] == reports[1]
+
+
 def test_usage_errors_exit_three(capsys):
     import pytest
 

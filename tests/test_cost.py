@@ -638,6 +638,20 @@ class TestGenerators:
         assert verify_decomposable(a) is None
         assert brute_decomposable(a)
 
+    def test_plateau_tables_above_degree_ten_need_no_exhaustive_check(self):
+        # noise 0 is U-shaped by construction, so no verification caps the degree
+        table = generate_decomposable_explicit(12, 5)
+        assert table.n == 12
+        assert verify_decomposable(table, mode="sampled", chains=200, seed=1) is None
+
+    def test_noisy_tables_above_degree_ten_are_refused_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew a random number")
+
+        monkeypatch.setattr(random.Random, "randint", no_draws)
+        with pytest.raises(ValueError, match="noise is verified exhaustively, only up to degree 10"):
+            generate_decomposable_explicit(11, 0, noise=0.3)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -645,7 +659,7 @@ class TestGenerators:
             pytest.param({"noise": float("nan")}, "noise", id="nan-noise"),
             pytest.param({"noise": float("inf")}, "noise", id="inf-noise"),
             pytest.param({"weight_max": -1}, "weight_max", id="negative-weight_max"),
-            pytest.param({"noise": 7.0, "max_attempts": 20}, "too large", id="noise-too-large"),
+            pytest.param({"noise": 7.0}, "too large", id="noise-too-large"),
         ],
     )
     def test_explicit_generator_rejects_bad_input(self, kwargs, message):
@@ -713,6 +727,63 @@ class TestInstanceFiles:
         path.write_text("010 2\n")
         with pytest.raises(ValueError):
             load_samples(path)
+
+    def test_an_mce_instance_is_saved_as_its_sample_file(self, tmp_path):
+        table = generate_sample_table(5, 30, seed=2)
+        via_instance, via_table = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_instance(mce_instance(table), via_instance)
+        save_samples(table, via_table)
+        assert via_instance.read_bytes() == via_table.read_bytes()
+        assert load_instance(via_instance) == mce_instance(table)
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("bad.json", "{not json", "not valid JSON"),
+            ("list.json", "[]", "must hold a JSON object"),
+            ("big.json", '{"n": 65, "kind": "subset_sum", "weights": [], "target": 0}', "degree"),
+            (
+                "negative.json",
+                '{"n": 2, "kind": "subset_sum", "weights": [1, -1], "target": 0}',
+                "weights and target must be non-negative",
+            ),
+            (
+                "key.json",
+                '{"n": 1, "kind": "explicit", "costs": {"0": 1.0, "11": 2.0}}',
+                "width-1 vector",
+            ),
+            ("kind.json", '{"n": 1, "kind": "made-up"}', "unknown instance kind"),
+            ("empty.txt", "n=3 t=0\n", "at least one row"),
+        ],
+        ids=["json", "object", "degree", "negative-weight", "key", "kind", "txt-no-rows"],
+    )
+    def test_parse_instance_errors_name_the_file_once(self, name, text, message):
+        with pytest.raises(ValueError, match=message) as caught:
+            parse_instance(text, name)
+        assert str(caught.value).startswith(f"{name}: ")
+        assert str(caught.value).count(name) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty sample file"),
+            ("n=3 t=0\n", "a sample table needs at least one row"),
+            ("0" * 70 + " 1\n", "characteristic vector must have 1..64 characters"),
+            ("n=3 t=x\n010 1\n", "malformed header"),
+            ("n=3 t=5\n010 1\n", "header declares t=5"),
+            ("010 2\n", "malformed sample row"),
+            ("n=3 t=1\n0101 1\n", "width-3 vector"),
+            ("n=0 t=0\n", "degree must be an int"),
+        ],
+        ids=["empty", "no-rows", "row-of-70", "header", "count", "label", "width", "degree"],
+    )
+    def test_parse_samples_errors_name_the_file_once(self, tmp_path, text, message):
+        path = tmp_path / "samples.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as caught:
+            load_samples(path)
+        assert str(caught.value).startswith(f"{path}: ")
+        assert str(caught.value).count(str(path)) == 1
 
 
 class TestNonFiniteCosts:

@@ -95,6 +95,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "Expecting property name"),
+            ("[5]", "config must be a JSON object"),
+            ('{"sizes": [5], "bogus": 1}', "unknown config keys"),
+            ('{"seed": 1}', "lacks the required key 'sizes'"),
+            ('{"sizes": [0]}', "each of sizes must be an int"),
+            ('{"sizes": [5], "p_up": 2}', "p_up must be a number"),
+        ],
+        ids=["json", "object", "unknown-key", "no-sizes", "size", "p_up"],
+    )
+    def test_from_json_errors_name_the_file_once(self, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as caught:
+            ExperimentConfig.from_json(path)
+        assert str(caught.value).startswith(f"{path}: ")
+        assert str(caught.value).count(str(path)) == 1
+
     def test_derive_seed_is_stable(self):
         assert derive_seed(1, "instance", 5, 0) == derive_seed(1, "instance", 5, 0)
         assert derive_seed(1, "instance", 5, 0) != derive_seed(1, "instance", 5, 1)

@@ -12,8 +12,8 @@ in which it evaluated the masks. The legacy search keeps restriction sets,
 so its records must hold on both coverage paths too.
 
 A ucs record is checked twice on each path: traced, as it was made, and
-without ``on_event``, where the run counts its blocked tail instead of
-walking it and must still report the same counts, minima and best cost.
+without ``on_event``, where the run must report the same counts, minima
+and best cost.
 """
 
 import hashlib
@@ -153,8 +153,8 @@ class TestGoldenTrajectories:
 
     @pytest.mark.parametrize("bitmap", [True, False])
     def test_fixture_reproduced_untraced(self, monkeypatch, bitmap):
-        # without on_event an unbudgeted run counts its blocked tail instead
-        # of walking it; everything the report pins must come out the same
+        # the same runs without on_event: everything the report pins must
+        # come out as the traced record has it
         if not bitmap:
             monkeypatch.setattr(ucurve.lattice, "_ACCEL_MAX_DEGREE", 0)
         for record in json.loads(FIXTURE.read_text(encoding="utf-8")):

@@ -160,6 +160,29 @@ MUTANTS = [
         ["tests/test_harness.py::TestRunSuboptimal::test_mean_scope_end_to_end"],
     ),
     (
+        "parse_instance that reads a .txt path as JSON",
+        COST,
+        "        if Path(path).suffix == \".txt\":\n",
+        "        if False:\n",
+        [
+            "tests/test_harness.py::TestInstanceFiles::test_the_bytes_hashed_are_the_bytes_parsed"
+            "[.txt]"
+        ],
+    ),
+    (
+        "a reader wrapper that re-raises without the file name",
+        COST,
+        "        raise ValueError(f\"{path}: {exc}\") from exc\n",
+        "        raise\n",
+        [
+            "tests/test_cost.py::TestInstanceFiles::test_parse_instance_errors_name_the_file_once"
+            "[negative-weight]",
+            "tests/test_cost.py::TestInstanceFiles::test_parse_samples_errors_name_the_file_once"
+            "[row-of-70]",
+            "tests/test_harness.py::TestConfig::test_from_json_errors_name_the_file_once[json]",
+        ],
+    ),
+    (
         "an evaluator that meets the target without raising",
         COST,
         "            raise TargetReached\n",
