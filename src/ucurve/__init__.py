@@ -19,11 +19,9 @@ from .cost import (
     generate_sample_table,
     generate_subset_sum_instance,
     load_instance,
-    load_samples,
     mce_cost,
     mce_instance,
     save_instance,
-    save_samples,
     verify_decomposable,
 )
 from .harness import (
@@ -73,7 +71,6 @@ __all__ = [
     "generate_subset_sum_instance",
     "legacy_ucurve_solve",
     "load_instance",
-    "load_samples",
     "maximal_element",
     "mce_cost",
     "mce_instance",
@@ -86,7 +83,6 @@ __all__ = [
     "run_solver",
     "run_suboptimal",
     "save_instance",
-    "save_samples",
     "sbs_step",
     "select_unvisited_adjacent",
     "sffs_solve",

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import cost as costmod
-from .cost import load_instance, load_samples, mce_instance, save_instance, verify_decomposable
+from .cost import load_instance, save_instance, verify_decomposable
 from .harness import ALGORITHMS, ExperimentConfig, run_benchmark, run_solver, seeded_instances
 from .lattice import render_element
 from .oracle import find_counterexample
@@ -53,8 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=ALGORITHMS,
     )
-    solve.add_argument("--instance", type=Path, help="instance file: JSON, or a .txt sample table")
-    solve.add_argument("--samples", type=Path, help="sample table file (entropy cost)")
+    solve.add_argument("--instance", type=Path, required=True, help="JSON, or a .txt sample table")
     stop = solve.add_mutually_exclusive_group()
     stop.add_argument("--budget", type=int, help="node budget")
     stop.add_argument("--cost-target", type=float, help="stop once a cost <= target is found")
@@ -75,8 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_bench)
 
     verify = sub.add_parser("verify", help="check a cost is U-shaped along chains")
-    verify.add_argument("--instance", type=Path)
-    verify.add_argument("--samples", type=Path)
+    verify.add_argument("--instance", type=Path, required=True)
     verify.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     verify.add_argument("--chains", type=int, default=costmod.DEFAULT_CHAINS)
     verify.add_argument("--seed", type=int, default=0)
@@ -96,14 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cost_input(instance_path: Path | None, samples_path: Path | None):
-    if (instance_path is None) == (samples_path is None):
-        raise ValueError("provide exactly one of --instance or --samples")
-    if instance_path is not None:
-        return load_instance(instance_path)
-    return mce_instance(load_samples(samples_path))
-
-
 def cmd_generate(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
@@ -120,7 +110,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instance = _load_cost_input(args.instance, args.samples)
+    instance = load_instance(args.instance)
     on_event = None
     if args.trace:
 
@@ -165,7 +155,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance = _load_cost_input(args.instance, args.samples)
+    instance = load_instance(args.instance)
     witness = verify_decomposable(instance, mode=args.mode, chains=args.chains, seed=args.seed)
     if witness is None:
         print("OK: cost is U-shaped along every checked chain")

@@ -727,15 +727,35 @@ def generate_decomposable_explicit(
     )
 
 
+def instance_suffix(kind: str) -> str:
+    """The suffix of an instance file of kind: .txt for mce, .json for the rest.
+
+    The one rule of instance file names: an mce instance is a sample table
+    in a .txt file, and every other kind is JSON. parse_instance reads a
+    .txt file as a sample table and any other file as JSON, and
+    save_instance refuses a path that parse_instance would misread.
+    """
+    return ".txt" if kind == MCE else ".json"
+
+
 def save_instance(instance: Instance, path: str | Path) -> None:
     """Write an instance file of any kind, in the form parse_instance reads.
 
-    An mce instance is written as its sample table, the bytes save_samples
-    writes, so its path should end in .txt; subset_sum and explicit
-    instances are written as JSON.
+    An mce instance is written as its sample table: a header line
+    'n=<n> t=<rows>', then one '<vector> <label>' line per row. subset_sum
+    and explicit instances are written as JSON. A path that ends in .txt
+    for any kind but mce, or in anything else for mce, is refused with a
+    ValueError before anything is written (see instance_suffix).
     """
-    if instance.kind == MCE:
-        save_samples(instance.samples, path)
+    mce = instance.kind == MCE
+    if (Path(path).suffix == instance_suffix(MCE)) != mce:
+        must = "must" if mce else "must not"
+        raise ValueError(f"{path}: a file of kind {instance.kind} {must} end in {instance_suffix(MCE)}")
+    if mce:
+        table = instance.samples
+        lines = [f"n={table.n} t={table.t}"]
+        lines.extend(f"{render_element(x, table.n)} {y}" for x, y in table.rows)
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
         return
     if instance.kind == SUBSET_SUM:
         payload = {
@@ -766,17 +786,20 @@ def errors_name(path: str | Path) -> Iterator[None]:
 
 
 def load_instance(path: str | Path) -> Instance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"), path)
+    return parse_instance(Path(path).read_bytes(), path)
 
 
-def parse_instance(text: str, path: str | Path) -> Instance:
-    """The instance in the text of any instance file; errors name path.
+def parse_instance(data: bytes, path: str | Path) -> Instance:
+    """The instance in the bytes of any instance file; errors name path.
 
-    The suffix of path picks the form: a .txt file holds a sample table,
-    read as an mce instance, and any other file the JSON form.
+    The bytes are decoded as UTF-8 here, so a file that is not UTF-8 is an
+    error that names path too. The suffix of path picks the form (see
+    instance_suffix): a .txt file holds a sample table, read as an mce
+    instance, and any other file the JSON form.
     """
     with errors_name(path):
-        if Path(path).suffix == ".txt":
+        text = data.decode("utf-8")
+        if Path(path).suffix == instance_suffix(MCE):
             return mce_instance(_table_from(text))
         return _instance_from(text)
 
@@ -821,25 +844,8 @@ def _instance_from(text: str) -> Instance:
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
-def save_samples(table: SampleTable, path: str | Path) -> None:
-    """Write the text sample form: header line, then '<vector> <label>' rows."""
-    lines = [f"n={table.n} t={table.t}"]
-    lines.extend(f"{render_element(x, table.n)} {y}" for x, y in table.rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_samples(path: str | Path) -> SampleTable:
-    return parse_samples(Path(path).read_text(encoding="utf-8"), path)
-
-
-def parse_samples(text: str, path: str | Path) -> SampleTable:
-    """The table in the text form save_samples writes; errors name path."""
-    with errors_name(path):
-        return _table_from(text)
-
-
 def _table_from(text: str) -> SampleTable:
-    """The table in the text form save_samples writes."""
+    """The table in the text form save_instance writes for an mce instance."""
     raw = text.splitlines()
     lines = [line.strip() for line in raw if line.strip()]
     if not lines:

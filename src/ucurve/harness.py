@@ -191,8 +191,8 @@ def seeded_instances(
 
     A subset_sum instance is drawn from weight_max, an mce instance's sample
     table from sample_rows and noise. save_instance writes each to its name
-    and load_instance_checked reads it back: the name's suffix, .json or
-    .txt, is the form cost.py writes for the kind. Instance idx is seeded by
+    and load_instance_checked reads it back: the name's suffix is the
+    kind's, from cost.instance_suffix. Instance idx is seeded by
     derive_seed(seed, "instance", size, idx), so the protocols and
     `ucurve generate` write the same files. Nothing is written here, so a
     bad input raises before a caller creates any file.
@@ -237,17 +237,19 @@ def prepare_instances(config: ExperimentConfig, workdir: str | Path) -> dict[str
 
 
 def _instance_name(cost_kind: str, size: int, idx: int) -> str:
-    suffix = "json" if cost_kind == costmod.SUBSET_SUM else "txt"
-    return f"n{size:02d}_i{idx:03d}.{suffix}"
+    return f"n{size:02d}_i{idx:03d}{costmod.instance_suffix(cost_kind)}"
 
 
 def load_instance_checked(path: Path, expected_hash: str) -> Instance:
-    """The instance in path, parsed from the one read whose hash is checked."""
+    """The instance in path, parsed from the one read whose hash is checked.
+
+    parse_instance gets the bytes that were hashed, and decodes them itself.
+    """
     data = path.read_bytes()
     digest = hashlib.sha256(data).hexdigest()
     if digest != expected_hash:
         raise ValueError(f"{path}: content hash mismatch, instance file changed between steps")
-    return parse_instance(data.decode("utf-8"), path)
+    return parse_instance(data, path)
 
 
 # ---------------------------------------------------------------------------

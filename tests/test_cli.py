@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from ucurve.cli import main
-from ucurve.cost import generate_sample_table, save_samples
+from ucurve.cost import generate_sample_table, mce_instance, save_instance
+from ucurve.ucs import ucs_solve
 
 
 def run(argv):
@@ -42,7 +45,9 @@ def test_solve_rejects_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["solve", "--algorithm", "ucs", "--instance", bad]) == 3
-    assert run(["solve", "--algorithm", "ucs"]) == 3  # neither input given
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--algorithm", "ucs"])  # no --instance
+    assert exc.value.code == 3
     capsys.readouterr()
 
 
@@ -53,20 +58,29 @@ def test_solve_names_the_instance_file_it_rejects(tmp_path, capsys):
     assert f"ucurve: error: {bad}: weights and target must be non-negative" in capsys.readouterr().err
 
 
-def test_instance_reads_a_sample_file_as_samples_does(tmp_path, capsys):
+def test_solve_reads_a_sample_file_as_its_mce_instance(tmp_path, capsys):
+    instance = mce_instance(generate_sample_table(5, 40, seed=3))
     samples = tmp_path / "samples.txt"
-    save_samples(generate_sample_table(5, 40, seed=3), samples)
-    reports = []
-    for flag in ("--instance", "--samples"):
-        assert run(["solve", "--algorithm", "ucs", flag, samples]) == 0
-        report = json.loads(capsys.readouterr().out)
-        reports.append({k: v for k, v in report.items() if not k.endswith("_sec")})
-    assert reports[0] == reports[1]
+    save_instance(instance, samples)
+    assert run(["solve", "--algorithm", "ucs", "--instance", samples]) == 0
+    reports = [json.loads(capsys.readouterr().out), ucs_solve(None, instance).to_dict()]
+    got, want = ({k: v for k, v in r.items() if not k.endswith("_sec")} for r in reports)
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["latin.json", "latin.txt"])
+def test_a_file_that_is_not_utf8_exits_three_naming_it(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe{}")
+    for argv in (["solve", "--algorithm", "ucs"], ["verify"]):
+        assert run([*argv, "--instance", path]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ucurve: error: {path}: ")
+        assert captured.err.count(str(path)) == 1
 
 
 def test_usage_errors_exit_three(capsys):
-    import pytest
-
     with pytest.raises(SystemExit) as exc:
         run(["solve", "--algorithm", "made-up"])
     assert exc.value.code == 3
@@ -76,8 +90,8 @@ def test_usage_errors_exit_three(capsys):
 def test_solve_with_samples_and_trace(tmp_path, capsys):
     table = generate_sample_table(4, 30, seed=8)
     samples = tmp_path / "samples.txt"
-    save_samples(table, samples)
-    assert run(["solve", "--algorithm", "ucs", "--samples", samples, "--trace"]) == 0
+    save_instance(mce_instance(table), samples)
+    assert run(["solve", "--algorithm", "ucs", "--instance", samples, "--trace"]) == 0
     out = capsys.readouterr()
     report = json.loads(out.out)
     assert report["n"] == 4
@@ -105,6 +119,16 @@ def test_find_counterexample_writes_fixture(tmp_path, capsys):
     assert out.exists()
     assert run(["verify", "--instance", out]) == 0  # decomposable
     capsys.readouterr()
+
+
+def test_find_counterexample_refuses_a_txt_out(tmp_path, capsys):
+    # a .txt file is read back as a sample table, so the fixture would not load
+    out = tmp_path / "fixture.txt"
+    assert run(["find-counterexample", "--n", "5", "--seed", "7", "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ucurve: error: {out}: ")
+    assert not out.exists()
 
 
 def test_find_counterexample_trials_exhausted(tmp_path, capsys):
@@ -254,11 +278,11 @@ def test_generate_rejects_bad_input_before_making_the_directory(tmp_path, capsys
 def test_verify_rejects_fewer_than_one_chain(tmp_path, capsys):
     # a noisy table that sampled verification does catch with enough chains
     samples = tmp_path / "samples.txt"
-    save_samples(generate_sample_table(8, 40, 0, noise=0.4), samples)
-    assert run(["verify", "--samples", samples, "--mode", "sampled", "--chains", "300"]) == 1
+    save_instance(mce_instance(generate_sample_table(8, 40, 0, noise=0.4)), samples)
+    assert run(["verify", "--instance", samples, "--mode", "sampled", "--chains", "300"]) == 1
     assert "witness" in capsys.readouterr().out
     for chains in ("-5", "0"):
-        assert run(["verify", "--samples", samples, "--mode", "sampled", "--chains", chains]) == 3
+        assert run(["verify", "--instance", samples, "--mode", "sampled", "--chains", chains]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "chain" in captured.err

@@ -16,16 +16,14 @@ from ucurve.cost import (
     generate_sample_table,
     generate_subset_sum_instance,
     load_instance,
-    load_samples,
     mce_cost,
     mce_instance,
     parse_instance,
     save_instance,
-    save_samples,
     verify_decomposable,
 )
 from conftest import subset_sum_reference
-from ucurve.lattice import parse_element
+from ucurve.lattice import parse_element, render_element
 from ucurve.ubb import ubb_solve
 
 
@@ -713,28 +711,56 @@ class TestInstanceFiles:
     def test_sample_file_round_trip(self, tmp_path):
         table = generate_sample_table(4, 20, seed=1)
         path = tmp_path / "samples.txt"
-        save_samples(table, path)
-        assert load_samples(path) == table
+        save_instance(mce_instance(table), path)
+        assert load_instance(path).samples == table
 
     def test_sample_header_validated(self, tmp_path):
         path = tmp_path / "samples.txt"
         path.write_text("n=3 t=5\n010 1\n")
         with pytest.raises(ValueError):
-            load_samples(path)
+            load_instance(path)
 
     def test_sample_rows_validated(self, tmp_path):
         path = tmp_path / "samples.txt"
         path.write_text("010 2\n")
         with pytest.raises(ValueError):
-            load_samples(path)
+            load_instance(path)
 
     def test_an_mce_instance_is_saved_as_its_sample_file(self, tmp_path):
         table = generate_sample_table(5, 30, seed=2)
-        via_instance, via_table = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_instance(mce_instance(table), via_instance)
-        save_samples(table, via_table)
-        assert via_instance.read_bytes() == via_table.read_bytes()
-        assert load_instance(via_instance) == mce_instance(table)
+        path = tmp_path / "a.txt"
+        save_instance(mce_instance(table), path)
+        rows = "".join(f"{render_element(x, 5)} {y}\n" for x, y in table.rows)
+        assert path.read_bytes() == f"n=5 t=30\n{rows}".encode()
+        assert load_instance(path) == mce_instance(table)
+
+    @pytest.mark.parametrize(
+        "name, instance",
+        [
+            ("x.json", mce_instance(generate_sample_table(4, 10, seed=1))),
+            ("x", mce_instance(generate_sample_table(4, 10, seed=1))),
+            ("y.txt", generate_subset_sum_instance(4, 1)),
+            ("z.txt", generate_decomposable_explicit(3, 1)),
+        ],
+        ids=["mce-json", "mce-bare", "subset_sum-txt", "explicit-txt"],
+    )
+    def test_save_instance_refuses_a_suffix_its_reader_would_misread(
+        self, tmp_path, name, instance
+    ):
+        path = tmp_path / name
+        with pytest.raises(ValueError, match="end in .txt") as caught:
+            save_instance(instance, path)
+        assert str(caught.value).startswith(f"{path}: ")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["latin.json", "latin.txt"])
+    def test_a_file_that_is_not_utf8_is_an_error_that_names_it(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ValueError, match="utf-8") as caught:
+            load_instance(path)
+        assert str(caught.value).startswith(f"{path}: ")
+        assert str(caught.value).count(str(path)) == 1
 
     @pytest.mark.parametrize(
         "name, text, message",
@@ -759,7 +785,7 @@ class TestInstanceFiles:
     )
     def test_parse_instance_errors_name_the_file_once(self, name, text, message):
         with pytest.raises(ValueError, match=message) as caught:
-            parse_instance(text, name)
+            parse_instance(text.encode(), name)
         assert str(caught.value).startswith(f"{name}: ")
         assert str(caught.value).count(name) == 1
 
@@ -781,7 +807,7 @@ class TestInstanceFiles:
         path = tmp_path / "samples.txt"
         path.write_text(text)
         with pytest.raises(ValueError, match=message) as caught:
-            load_samples(path)
+            load_instance(path)
         assert str(caught.value).startswith(f"{path}: ")
         assert str(caught.value).count(str(path)) == 1
 
@@ -820,7 +846,7 @@ class TestNonFiniteCosts:
     def test_parse_instance_rejects_a_number_past_float_range(self, payload):
         # it once raised OverflowError, which the CLI does not catch
         with pytest.raises(ValueError, match="finite"):
-            parse_instance(json.dumps(payload), "huge.json")
+            parse_instance(json.dumps(payload).encode(), "huge.json")
 
     def test_load_instance_rejects_nan(self, tmp_path):
         path = tmp_path / "nan.json"

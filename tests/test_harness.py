@@ -11,7 +11,6 @@ from ucurve.cost import (
     generate_subset_sum_instance,
     mce_instance,
     save_instance,
-    save_samples,
 )
 from ucurve.harness import (
     ExperimentConfig,
@@ -143,13 +142,11 @@ class TestInstanceFiles:
         # every read of the file after the first returns another instance
         if suffix == ".json":
             first, second = (generate_subset_sum_instance(5, seed) for seed in (1, 2))
-            save, expected = save_instance, first
         else:
-            first, second = (generate_sample_table(5, 30, seed) for seed in (1, 2))
-            save, expected = save_samples, mce_instance(first)
+            first, second = (mce_instance(generate_sample_table(5, 30, seed)) for seed in (1, 2))
         path, other = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
-        save(first, path)
-        save(second, other)
+        save_instance(first, path)
+        save_instance(second, other)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         swapped = other.read_bytes()
         real_read_bytes = Path.read_bytes
@@ -166,8 +163,18 @@ class TestInstanceFiles:
 
         monkeypatch.setattr(Path, "read_bytes", read_bytes)
         monkeypatch.setattr(Path, "read_text", read_text)
-        assert load_instance_checked(path, digest) == expected
+        assert load_instance_checked(path, digest) == first
         assert len(reads) == 1
+
+    @pytest.mark.parametrize("name", ["latin.json", "latin.txt"])
+    def test_a_file_that_is_not_utf8_is_an_error_that_names_it(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe{}")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        with pytest.raises(ValueError, match="utf-8") as caught:
+            load_instance_checked(path, digest)
+        assert str(caught.value).startswith(f"{path}: ")
+        assert str(caught.value).count(str(path)) == 1
 
 
 class TestRunOptimal:

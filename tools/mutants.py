@@ -162,7 +162,7 @@ MUTANTS = [
     (
         "parse_instance that reads a .txt path as JSON",
         COST,
-        "        if Path(path).suffix == \".txt\":\n",
+        "        if Path(path).suffix == instance_suffix(MCE):\n",
         "        if False:\n",
         [
             "tests/test_harness.py::TestInstanceFiles::test_the_bytes_hashed_are_the_bytes_parsed"
@@ -180,6 +180,30 @@ MUTANTS = [
             "tests/test_cost.py::TestInstanceFiles::test_parse_samples_errors_name_the_file_once"
             "[row-of-70]",
             "tests/test_harness.py::TestConfig::test_from_json_errors_name_the_file_once[json]",
+        ],
+    ),
+    (
+        "an instance file decoded outside the path-naming wrapper",
+        COST,
+        "    with errors_name(path):\n        text = data.decode(\"utf-8\")\n",
+        "    text = data.decode(\"utf-8\")\n    with errors_name(path):\n",
+        [
+            "tests/test_cost.py::TestInstanceFiles::"
+            "test_a_file_that_is_not_utf8_is_an_error_that_names_it[latin.txt]",
+            "tests/test_harness.py::TestInstanceFiles::"
+            "test_a_file_that_is_not_utf8_is_an_error_that_names_it[latin.json]",
+        ],
+    ),
+    (
+        "save_instance without its suffix check",
+        COST,
+        "    if (Path(path).suffix == instance_suffix(MCE)) != mce:\n",
+        "    if False:\n",
+        [
+            "tests/test_cost.py::TestInstanceFiles::"
+            "test_save_instance_refuses_a_suffix_its_reader_would_misread[mce-json]",
+            "tests/test_cost.py::TestInstanceFiles::"
+            "test_save_instance_refuses_a_suffix_its_reader_would_misread[subset_sum-txt]",
         ],
     ),
     (
