@@ -13,7 +13,13 @@ import sys
 from pathlib import Path
 
 from . import cost as costmod
-from .cost import load_instance, save_instance, verify_decomposable
+from .cost import (
+    EXPLICIT,
+    check_instance_path,
+    load_instance,
+    save_instance,
+    verify_decomposable,
+)
 from .harness import ALGORITHMS, ExperimentConfig, run_benchmark, run_solver, seeded_instances
 from .lattice import render_element
 from .oracle import find_counterexample
@@ -169,6 +175,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_find_counterexample(args) -> int:
+    # the search draws explicit instances; refuse a path it could not save to first
+    check_instance_path(EXPLICIT, args.out)
     instance = find_counterexample(
         args.n, args.trials, args.seed, weight_max=args.weight_max, noise=args.noise
     )

@@ -22,9 +22,10 @@ Three instance kinds are supported:
   every mask, in any order of calls.
 
 The CostEvaluator wraps a cost function with memoization, the
-computed-nodes counter shared by every solver comparison, wall-time
-accounting, and the two stop criteria (node budget, cost target); it is
-also the context manager that opens, times and ends each solver run.
+computed-nodes counter shared by every solver comparison, a stopwatch on
+the cost function, and the two stop criteria (node budget, cost target);
+it is also the context manager that opens, times and ends each solver
+run.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from __future__ import annotations
 import json
 import math
 import random
-import time
 from contextlib import contextmanager
 from functools import reduce
 from operator import add, itemgetter
 from pathlib import Path
+from time import perf_counter
 from typing import Callable, Iterator, NamedTuple
 
 from .lattice import check_degree, check_element, parse_element, render_element
@@ -268,10 +269,13 @@ def mce_cost(samples: SampleTable, x: int) -> float:
 # least 8 rows per possible part; past either bound coarsening a cached
 # histogram costs less. One pass, from the slot a feature smaller, costs
 # less than either at every width on 1000-row tables of 12 features.
+# Without the width bound ucs and sffs ran 1.18x and 1.25x as long on
+# 4096-row tables (2-vCPU machine, replayed call orders).
 _KERNEL_MAX_WIDTH = 6
 _KERNEL_ROWS_PER_PART = 8
 # the coarsening path keeps the histograms of this many masks, besides the
-# full mask's; 16-64 gained nothing over 8 on 1000-row tables of 12 features
+# full mask's; 16-64 gained nothing over 8 on 1000-row tables of 12
+# features, and 1-4 cost ucs and sffs 3-12 % more
 _KERNEL_HISTOGRAMS = 8
 # disjoint bitsets compare as their highest bits do, that is by first row
 _first_item = itemgetter(0)
@@ -442,6 +446,16 @@ def _mce_kernel(samples: SampleTable) -> Callable[[int], float]:
     return mce
 
 
+# Two perf_counter reads take about 0.12-0.15 us; timing every call of a
+# subset_sum cost (about 1 us) spent a fifth of a ubb or sffs solve on
+# them. A call under _CHEAP_CALL_S, about 20 times the reads, is cheap:
+# after _SAMPLE_EVERY cheap timed calls in a row the evaluator times one
+# fresh call in _SAMPLE_EVERY, and a timed call pays at most about 5 % for
+# its clock. mce calls on 1000-row tables take 4-290 us and stay timed.
+_CHEAP_CALL_S = 3e-6
+_SAMPLE_EVERY = 16
+
+
 class BudgetExhausted(Exception):
     """Control signal: the node budget is spent, solvers unwind and report best-so-far."""
 
@@ -476,6 +490,15 @@ class CostEvaluator:
     non-numeric cost raises ValueError. Instance cost functions are finite
     by construction (explicit tables are checked when built) and run
     unwrapped.
+
+    The stopwatch: each fresh evaluation is timed while calls are
+    expensive, and elapsed_in_cost sums the seconds of the timed_calls.
+    Once the last _SAMPLE_EVERY (16) timed calls each took under
+    _CHEAP_CALL_S (3 us), only one fresh call in 16 is timed; the others
+    run with no clock read. A timed call of 3 us or more returns it to
+    timing every call. time_in_cost() credits each untimed call with the
+    median cheap timed call, so a slow sample (a cold call, a GC pause)
+    is counted once.
     """
 
     __slots__ = (
@@ -485,6 +508,10 @@ class CostEvaluator:
         "node_budget",
         "cost_target",
         "elapsed_in_cost",
+        "timed_calls",
+        "_cheap_calls",
+        "_cheap_streak",
+        "_untimed_left",
         "started",
         "stop",
     )
@@ -520,6 +547,10 @@ class CostEvaluator:
         self.node_budget = node_budget
         self.cost_target = cost_target
         self.elapsed_in_cost = 0.0
+        self.timed_calls = 0
+        self._cheap_calls: list[float] = []
+        self._cheap_streak = 0
+        self._untimed_left = 0
 
     @property
     def computed_nodes(self) -> int:
@@ -534,16 +565,39 @@ class CostEvaluator:
             raise ValueError(f"element {x} out of range for degree {self.n}")
         if self.node_budget is not None and len(memo) >= self.node_budget:
             raise BudgetExhausted
-        start = time.perf_counter()
-        value = self.fn(x)
-        self.elapsed_in_cost += time.perf_counter() - start
+        untimed_left = self._untimed_left
+        if untimed_left:
+            self._untimed_left = untimed_left - 1
+            value = self.fn(x)
+        else:
+            start = perf_counter()
+            value = self.fn(x)
+            seconds = perf_counter() - start
+            self.elapsed_in_cost += seconds
+            self.timed_calls += 1
+            if seconds < _CHEAP_CALL_S:
+                self._cheap_calls.append(seconds)
+                self._cheap_streak += 1
+                if self._cheap_streak >= _SAMPLE_EVERY:
+                    self._untimed_left = _SAMPLE_EVERY - 1
+            else:
+                self._cheap_streak = 0
         memo[x] = value
         if self.cost_target is not None and value <= self.cost_target:
             raise TargetReached
         return value
 
+    def time_in_cost(self) -> float:
+        """Seconds in the cost function: the timed calls' sum, plus the
+        median cheap timed call for each fresh evaluation left untimed."""
+        untimed = len(self.memo) - self.timed_calls
+        if not untimed:
+            return self.elapsed_in_cost
+        cheap = sorted(self._cheap_calls)
+        return self.elapsed_in_cost + untimed * cheap[len(cheap) // 2]
+
     def __enter__(self) -> CostEvaluator:
-        self.started = time.perf_counter()
+        self.started = perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -733,9 +787,18 @@ def instance_suffix(kind: str) -> str:
     The one rule of instance file names: an mce instance is a sample table
     in a .txt file, and every other kind is JSON. parse_instance reads a
     .txt file as a sample table and any other file as JSON, and
-    save_instance refuses a path that parse_instance would misread.
+    check_instance_path refuses a path that parse_instance would misread.
     """
     return ".txt" if kind == MCE else ".json"
+
+
+def check_instance_path(kind: str, path: str | Path) -> None:
+    """Refuse, with a ValueError naming path, a path that parse_instance
+    would misread as a file of another kind (see instance_suffix)."""
+    mce = kind == MCE
+    if (Path(path).suffix == instance_suffix(MCE)) != mce:
+        must = "must" if mce else "must not"
+        raise ValueError(f"{path}: a file of kind {kind} {must} end in {instance_suffix(MCE)}")
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:
@@ -745,13 +808,10 @@ def save_instance(instance: Instance, path: str | Path) -> None:
     'n=<n> t=<rows>', then one '<vector> <label>' line per row. subset_sum
     and explicit instances are written as JSON. A path that ends in .txt
     for any kind but mce, or in anything else for mce, is refused with a
-    ValueError before anything is written (see instance_suffix).
+    ValueError before anything is written (check_instance_path).
     """
-    mce = instance.kind == MCE
-    if (Path(path).suffix == instance_suffix(MCE)) != mce:
-        must = "must" if mce else "must not"
-        raise ValueError(f"{path}: a file of kind {instance.kind} {must} end in {instance_suffix(MCE)}")
-    if mce:
+    check_instance_path(instance.kind, path)
+    if instance.kind == MCE:
         table = instance.samples
         lines = [f"n={table.n} t={table.t}"]
         lines.extend(f"{render_element(x, table.n)} {y}" for x, y in table.rows)

@@ -7,6 +7,12 @@ exactly once. A child strictly costlier than its parent prunes its whole
 subtree: the subtree lies inside the child's upper interval, and on a
 chain-U-shaped cost everything there costs at least as much as the child.
 Equal cost descends, since a plateau may still dip later along the chain.
+
+The walk keeps an explicit stack of (element, cost, next bit) frames in
+place of recursion: descending into a child pushes the parent's frame,
+resumed at the child's next bit once the child's subtree is done (a
+parent with no bit left is not pushed). It evaluates in the same preorder
+as a recursive walk.
 """
 
 from __future__ import annotations
@@ -25,14 +31,19 @@ def ubb_solve(
 ) -> SearchReport:
     ev = CostEvaluator(cost, n, node_budget, cost_target)
     n = ev.n
+    evaluate = ev.evaluate
     with ev:
-        _descend(0, ev.evaluate(0), 0, n, ev)
+        stack = [(0, evaluate(0), 0)]
+        push = stack.append
+        pop = stack.pop
+        while stack:
+            element, element_cost, b = pop()
+            while b < n:
+                child = element | (1 << b)
+                child_cost = evaluate(child)
+                b += 1
+                if child_cost <= element_cost:
+                    if b < n:
+                        push((element, element_cost, b))
+                    element, element_cost = child, child_cost
     return conclude("ubb", ev)
-
-
-def _descend(element: int, element_cost: float, first_bit: int, n: int, ev: CostEvaluator) -> None:
-    for b in range(first_bit, n):
-        child = element | (1 << b)
-        child_cost = ev.evaluate(child)
-        if child_cost <= element_cost:
-            _descend(child, child_cost, b + 1, n, ev)

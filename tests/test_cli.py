@@ -122,13 +122,16 @@ def test_find_counterexample_writes_fixture(tmp_path, capsys):
 
 
 def test_find_counterexample_refuses_a_txt_out(tmp_path, capsys):
-    # a .txt file is read back as a sample table, so the fixture would not load
+    # a .txt file is read back as a sample table, so the fixture would not
+    # load; it is refused before the search, which with no trials once
+    # found nothing and exited 1
     out = tmp_path / "fixture.txt"
-    assert run(["find-counterexample", "--n", "5", "--seed", "7", "--out", out]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"ucurve: error: {out}: ")
-    assert not out.exists()
+    for trials in ([], ["--trials", "0"]):
+        assert run(["find-counterexample", "--n", "5", "--seed", "7", *trials, "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ucurve: error: {out}: ")
+        assert not out.exists()
 
 
 def test_find_counterexample_trials_exhausted(tmp_path, capsys):

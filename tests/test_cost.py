@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -22,6 +23,7 @@ from ucurve.cost import (
     save_instance,
     verify_decomposable,
 )
+import ucurve.cost
 from conftest import subset_sum_reference
 from ucurve.lattice import parse_element, render_element
 from ucurve.ubb import ubb_solve
@@ -203,6 +205,83 @@ class TestEvaluator:
         with pytest.raises(ValueError, match="does not match|degree must be"):
             CostEvaluator(generate_subset_sum_instance(7, 1), n=n)
         assert CostEvaluator(generate_subset_sum_instance(7, 1), n=7).evaluate(100) >= 0
+
+
+def script_timed_calls(monkeypatch, durations):
+    """Make the evaluator's timed calls take durations, in turn.
+
+    A timed call reads the clock before and after the cost function; the
+    two reads return 0 and the call's duration, so it is measured exactly.
+    """
+
+    def reads():
+        for seconds in durations:
+            yield 0.0
+            yield seconds
+
+    monkeypatch.setattr(ucurve.cost, "perf_counter", reads().__next__)
+
+
+def timed_masks(ev, masks):
+    """Evaluate masks in turn; return those the evaluator timed."""
+    timed = []
+    for x in masks:
+        before = ev.timed_calls
+        ev.evaluate(x)
+        if ev.timed_calls > before:
+            timed.append(x)
+    return timed
+
+
+CHEAP = 2.0**-20  # about 0.95 us; a power of two, so its sums are exact
+
+
+class TestStopwatch:
+    def test_calls_of_3us_or_more_are_each_timed(self, monkeypatch):
+        # 15 cheap calls in a row between costlier ones never start sampling
+        durations = ([3e-6] + [CHEAP] * 15 + [5e-6, 1e-3]) * 10
+        script_timed_calls(monkeypatch, durations)
+        ev = CostEvaluator(float, n=8)
+        assert timed_masks(ev, range(len(durations))) == list(range(len(durations)))
+        assert ev.time_in_cost() == ev.elapsed_in_cost == sum(durations)
+
+    def test_after_16_cheap_calls_one_in_16_is_timed(self, monkeypatch):
+        script_timed_calls(monkeypatch, itertools.repeat(CHEAP))
+        ev = CostEvaluator(float, n=8)
+        assert timed_masks(ev, range(200)) == [*range(16), *range(31, 200, 16)]
+        # memo hits are neither timed nor credited
+        assert timed_masks(ev, range(200)) == []
+        assert ev.time_in_cost() == 200 * CHEAP
+
+    def test_a_slow_sample_is_counted_once(self, monkeypatch):
+        # a pause on the first sampled call; charged for the 15 untimed
+        # calls before it as well, it would read 16 times over
+        pause = 2.0**-10
+        script_timed_calls(
+            monkeypatch, itertools.chain([CHEAP] * 16, [pause], itertools.repeat(CHEAP))
+        )
+        ev = CostEvaluator(float, n=8)
+        timed = timed_masks(ev, range(64))
+        # the pause returns the evaluator to timing every call
+        assert timed == [*range(16), 31, *range(32, 48), 63]
+        assert ev.time_in_cost() == 63 * CHEAP + pause
+
+    def test_a_3us_sample_returns_to_timing_every_call(self, monkeypatch):
+        script_timed_calls(
+            monkeypatch, itertools.chain([CHEAP] * 17, [3e-6], itertools.repeat(CHEAP))
+        )
+        ev = CostEvaluator(float, n=8)
+        timed = timed_masks(ev, range(80))
+        assert timed == [*range(16), 31, 47, *range(48, 64), 79]
+        assert ev.time_in_cost() == pytest.approx(79 * CHEAP + 3e-6, rel=1e-12)
+
+    def test_every_mce_evaluation_is_timed(self):
+        # a table like mce-exact's: its calls take 4-290 us, none is cheap
+        ev = CostEvaluator(mce_instance(generate_sample_table(12, 1000, 4000)))
+        for x in ubb_preorder(12):
+            ev.evaluate(x)
+        assert ev.timed_calls == ev.computed_nodes == 4096
+        assert ev.time_in_cost() == ev.elapsed_in_cost
 
 
 KERNEL_INSTANCES = {

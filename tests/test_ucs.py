@@ -19,6 +19,7 @@ from ucurve.cost import (
     generate_subset_sum_instance,
     mce_instance,
 )
+from ucurve.harness import ALGORITHMS, run_solver
 from ucurve.lattice import (
     LOWER,
     UPPER,
@@ -436,11 +437,20 @@ class TestUcsSolve:
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
     def test_telemetry_bounds(self):
-        inst = generate_subset_sum_instance(8, 21)
-        report = ucs_solve(8, inst, seed=1)
-        assert report.computed_nodes <= 2**8
-        assert report.dfs_calls <= report.minmax_calls
-        assert report.time_in_cost <= report.wall_time
+        # every solver on each kind of cost: the stopwatch samples the cheap
+        # subset_sum and explicit calls and times every mce call, and its
+        # estimate stays within the run's wall time
+        instances = [
+            generate_subset_sum_instance(8, 21),
+            generate_decomposable_explicit(8, 21),
+            mce_instance(generate_sample_table(8, 200, 21)),
+        ]
+        for inst in instances:
+            for algorithm in ALGORITHMS:
+                report = run_solver(algorithm, inst, seed=1)
+                assert report.computed_nodes <= 2**8
+                assert report.dfs_calls <= report.minmax_calls
+                assert report.time_in_cost <= report.wall_time, (inst.kind, algorithm)
 
     @staticmethod
     def single_path_cases():

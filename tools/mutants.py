@@ -39,6 +39,7 @@ LATTICE = "ucurve/lattice.py"
 COST = "ucurve/cost.py"
 UCS = "ucurve/ucs.py"
 HARNESS = "ucurve/harness.py"
+CLI = "ucurve/cli.py"
 TARGET = [
     "tests/test_cost.py::TestEvaluator::test_cost_target_latches",
     "tests/test_report.py::test_the_evaluation_that_meets_the_target_is_the_last",
@@ -205,6 +206,23 @@ MUTANTS = [
             "tests/test_cost.py::TestInstanceFiles::"
             "test_save_instance_refuses_a_suffix_its_reader_would_misread[subset_sum-txt]",
         ],
+    ),
+    (
+        "untimed calls credited nothing",
+        COST,
+        "        return self.elapsed_in_cost + untimed * cheap[len(cheap) // 2]\n",
+        "        return self.elapsed_in_cost\n",
+        [
+            "tests/test_cost.py::TestStopwatch::test_after_16_cheap_calls_one_in_16_is_timed",
+            "tests/test_cost.py::TestStopwatch::test_a_slow_sample_is_counted_once",
+        ],
+    ),
+    (
+        "find-counterexample checks --out after the search",
+        CLI,
+        "    check_instance_path(EXPLICIT, args.out)\n",
+        "",
+        ["tests/test_cli.py::test_find_counterexample_refuses_a_txt_out"],
     ),
     (
         "an evaluator that meets the target without raising",
