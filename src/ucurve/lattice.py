@@ -79,20 +79,39 @@ class RestrictionSet:
     the antichain (see ``insert_seed``), and ``members`` reads it off them.
     ``_flip`` is 0 for LOWER and ``full`` for UPPER; XOR with it maps
     UPPER onto LOWER, so both orientations share one code path. Take
-    LOWER. Marking walks a spanning tree of the new interval: a child
-    reached from x by clearing bit b may only clear bits above b further
-    (exactly the bits its parent has still to try), and the walk stops at
-    a child that is already covered. The uncovered part of the lattice is
-    closed upward, so every superset of a newly covered z inside x was
-    uncovered too: the tree path to z, which clears the bits of x - z
-    lowest first, runs through uncovered elements only, and each newly
-    covered element is reached exactly once. Marking also does the
-    absorption. Take a member r properly inside x; r's tree parent is r
-    plus the highest bit of x - r. Every proper superset of r inside x was
+    LOWER. Marking writes the new interval in blocks. Let R be the
+    longest run of consecutive set bits of x, L bits from bit a. Each y
+    inside x that keeps R's bits heads the block ``{y ^ t : t ⊆ R}``, the
+    2**L masks from ``y & ~R`` up to y in steps of 2**a, and one slice
+    assignment writes it. The blocks partition the interval. The walk
+    runs over the heads only: it is a spanning tree of the interval with
+    R's bits fixed, in which a child reached from y by clearing bit b may
+    only clear bits above b further (exactly the bits its parent has still
+    to try), and it stops at a child that is already covered.
+    The walk is exact. The covered part of the lattice is closed downward,
+    so a covered head's block and its whole subtree were covered already,
+    and pruning there loses nothing. The uncovered part is closed upward,
+    so for every newly covered z inside x the head ``z | R`` and every
+    head between it and x were uncovered: the tree path to ``z | R``,
+    which clears the bits of x - (z | R) lowest first, runs through
+    uncovered heads only, and each block that holds a newly covered
+    element is written exactly once. A block may rewrite covered bytes. A
+    1 stays 1 and a 2 becomes 1, and such a 2 is either a member that x
+    absorbs or a stale seed tag (see ``insert_seed``), which nothing reads:
+    ``members`` filters it out, and no node on ucs's DFS stack carries one.
+    So coverage, ``members`` and every DFS liveness test read what a walk
+    of single masks would leave. Marking also does the absorption. Take a
+    member r properly inside x. Every proper superset of r inside x was
     uncovered, or a member strictly containing r would exist and the set
-    would not be an antichain, so that parent is reached, meets r, finds
-    the tag 2, and demotes r to 1. Absorption therefore costs O(1) per
-    absorbed member, and an insert costs O(n) per newly covered element.
+    would not be an antichain. If r lacks a bit of R, its head ``r | R``
+    is such a superset, so that block is written and r demoted to 1.
+    Otherwise r is a head, and its tree parent, r plus the highest bit of
+    x - r, is reached, meets r, finds the tag 2 and demotes it. An insert
+    therefore costs O(n) Python steps per block it reaches, plus one
+    C-level slice write of 2**L bytes per block, and absorption O(1) per
+    absorbed member. UPPER is the same read through ``_flip``: R is the
+    longest run of ``x ^ full``, its bits are clear in every head y, and
+    ``y & ~R == y``.
     Above ``_ACCEL_MAX_DEGREE`` (20), the one switch between the paths, the
     set keeps the antichain itself, each member stored XOR ``_flip``, so
     that there too an UPPER set reads as a LOWER one: ``covers`` scans it,
@@ -237,21 +256,47 @@ class RestrictionSet:
         return f"RestrictionSet({self.orientation}, n={self.n}, members={vecs})"
 
 
+# 2**L bytes of tag 1, a block of a run of L bits; built when first needed
+_BLOCKS: list[bytes | None] = [None] * (MAX_DEGREE + 1)
+
+
 def _mark(cover: bytearray, flip: int, x: int) -> None:
     """Tag x 2 and the newly covered elements of its interval 1, demoting members on the way.
 
-    The spanning-tree walk of RestrictionSet: it flips the bits of
-    ``x ^ flip``, clearing them for LOWER (flip 0) and setting them for
-    UPPER (flip full, where ``y ^ b == y | b`` since b is clear in y), and
-    a child reached by flipping bit b may only flip bits above b further.
-    The root is walked without a push, and a child is pushed only if it
-    has bits left to try.
+    The block walk of RestrictionSet. It finds R, the longest run of set
+    bits of ``d = x ^ flip`` (the empty run when d is 0), and walks the
+    bits of ``d ^ R``, clearing them for LOWER (flip 0) and setting them
+    for UPPER (flip full, where ``y ^ b == y | b`` since b is clear in y).
+    A child reached by flipping bit b may only flip bits above b further.
+    x and each uncovered child y write their block with one slice,
+    ``cover[y & ~R : (y | R) + 1 : 1 << a] = ones``, where a is the lowest
+    bit of R; a block is an arithmetic progression because R's bits are
+    consecutive. A covered child stops the walk there, and a tag-2 child
+    is demoted to 1. The root is walked without a push, and a child is
+    pushed only if it has bits left to try.
     """
+    d = x ^ flip
+    # after k rounds bit i of t is set iff bits i .. i + k of d are, so the
+    # last t left before it empties marks where the longest runs begin
+    t = starts = d
+    width = 0
+    while t:
+        starts = t
+        t &= t >> 1
+        width += 1
+    # d = 0 leaves the empty run, and the block {x}
+    step = starts & -starts or 1
+    run = step * ((1 << width) - 1)
+    ones = _BLOCKS[width]
+    if ones is None:
+        ones = _BLOCKS[width] = b"\x01" * (1 << width)
+    outside = ~run
+    cover[x & outside : (x | run) + 1 : step] = ones
     cover[x] = 2
     # pairs of (element, the bits it may still flip)
     stack = []
     y = x
-    bits = x ^ flip
+    bits = d ^ run
     while True:
         while bits:
             b = bits & -bits
@@ -259,7 +304,7 @@ def _mark(cover: bytearray, flip: int, x: int) -> None:
             child = y ^ b
             tag = cover[child]
             if not tag:
-                cover[child] = 1
+                cover[child & outside : (child | run) + 1 : step] = ones
                 if bits:
                     stack.append(child)
                     stack.append(bits)

@@ -47,6 +47,24 @@ def brute_covers(orientation, members, x):
     return any(r & ~x == 0 for r in members)
 
 
+def run_mask(width, low, extra_bits):
+    """A run of width consecutive bits from bit low, with extra_bits set too."""
+    mask = ((1 << width) - 1) << low
+    for b in extra_bits:
+        mask |= 1 << b
+    return mask
+
+
+def tag_2_masks(cover):
+    """The masks whose bitmap byte is 2, in mask order."""
+    found = []
+    x = cover.find(2)
+    while x >= 0:
+        found.append(x)
+        x = cover.find(2, x + 1)
+    return found
+
+
 def greedy_minimal(n, r):
     """Reference descent: clear each bit, lowest first, while uncovered."""
     x = full_set(n)
@@ -243,6 +261,26 @@ class TestBitmapAntichain:
             for m in range(full + 1):
                 assert (m in fast.members) == (m in slow.members) == (fast._cover[m] == 2)
                 assert slow.covered(m) == fast._cover[m]  # the scan path returns tags too
+
+    @given(st.integers(min_value=9, max_value=16), st.sampled_from([LOWER, UPPER]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_long_runs_of_bits_at_high_degrees(self, n, orientation, data):
+        # an insert writes one block per run of consecutive bits, so the masks are
+        # mostly runs, with a few other bits set, plus the empty and the full mask
+        full = full_set(n)
+        bit = st.integers(0, n - 1)
+        runs = st.builds(run_mask, st.integers(1, n), bit, st.lists(bit, max_size=3))
+        masks = st.one_of(runs, st.sampled_from([0, full]))
+        updates = [x & full for x in data.draw(st.lists(masks, min_size=1, max_size=12))]
+        fast = restriction_set(orientation, n, bitmap=True)
+        slow = restriction_set(orientation, n, bitmap=False)
+        for x in updates:
+            fast.update(x)
+            slow.update(x)
+            assert fast.members == slow.members
+            assert tag_2_masks(fast._cover) == fast.members
+        expected = [brute_covers(orientation, updates, x) for x in range(full + 1)]
+        assert [fast.covers(x) for x in range(full + 1)] == expected
 
     def test_absorbs_several_members_at_once(self):
         r = lower_set(4, [parse_element(v) for v in ("1000", "0100", "0001", "0110")])

@@ -550,11 +550,13 @@ class TestCoveragePathsAgree:
     """
 
     @staticmethod
-    def trajectories(instances):
+    def trajectories(instances, node_budget=None):
         out = []
         for seed, inst in enumerate(instances):
             events = []
-            report = ucs_solve(inst.n, inst, seed=seed, on_event=events.append)
+            report = ucs_solve(
+                inst.n, inst, seed=seed, node_budget=node_budget, on_event=events.append
+            )
             out.append(
                 (
                     report.computed_nodes,
@@ -578,6 +580,17 @@ class TestCoveragePathsAgree:
         assert RestrictionSet(LOWER, 8)._cover is None
         with_scan = self.trajectories(instances)
         assert with_scan == with_bitmap
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_same_trajectory_on_both_paths_under_a_budget(self, monkeypatch, n):
+        # at these degrees an insert's longest run of bits makes blocks of up to 2**n masks
+        instances = [generate_subset_sum_instance(n, 900 + s) for s in range(4)]
+        with_bitmap = self.trajectories(instances, node_budget=400)
+        # some runs stop at the budget and some finish under it
+        assert sorted(run[0] == 400 for run in with_bitmap) == [False, True, True, True]
+        monkeypatch.setattr(ucurve.lattice, "_ACCEL_MAX_DEGREE", 0)
+        assert RestrictionSet(LOWER, n)._cover is None
+        assert self.trajectories(instances, node_budget=400) == with_bitmap
 
 
 def reachable_optimum(instance):

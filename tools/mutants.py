@@ -61,6 +61,7 @@ UNTRACED = (
     "tests/test_ucs_trajectories.py::TestGoldenTrajectories::test_fixture_reproduced_untraced"
 )
 SEED = "tests/test_lattice.py::TestInsertSeed::test_same_state_as_update"
+LONG_RUNS = "tests/test_lattice.py::TestBitmapAntichain::test_long_runs_of_bits_at_high_degrees"
 MARKING = [
     "tests/test_lattice.py::TestCovers::test_matches_brute_force_with_and_without_bitmap",
     "tests/test_lattice.py::TestUpdate::test_update_preserves_coverage_semantics",
@@ -97,13 +98,20 @@ MUTANTS = [
     (
         "marking that leaves leaves unmarked",
         LATTICE,
-        "                cover[child] = 1\n"
+        "                cover[child & outside : (child | run) + 1 : step] = ones\n"
         "                if bits:\n"
         "                    stack.append(child)\n",
         "                if bits:\n"
-        "                    cover[child] = 1\n"
+        "                    cover[child & outside : (child | run) + 1 : step] = ones\n"
         "                    stack.append(child)\n",
         MARKING,
+    ),
+    (
+        "a child's block slice with twice the run's step",
+        LATTICE,
+        "cover[child & outside : (child | run) + 1 : step] = ones",
+        "cover[child & outside : (child | run) + 1 : 2 * step] = ones",
+        MARKING + [LONG_RUNS],
     ),
     (
         "insert that keeps a tag-2 neighbour",
