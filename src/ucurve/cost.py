@@ -157,6 +157,8 @@ class Instance(FrozenRecord):
             raise ValueError(f"unknown instance kind {kind!r}")
 
     def cost_function(self) -> Callable[[int], float]:
+        """The cost of an element mask; every kernel raises ValueError for
+        an element out of range, and CostEvaluator relies on it."""
         if self.kind == SUBSET_SUM:
             return _subset_sum_kernel(self.weights, self.target)
         if self.kind == EXPLICIT:
@@ -210,8 +212,9 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def checked_cost(fn: Callable[[int], float]) -> Callable[[int], float]:
-    """Wrap a bare cost callable so that a non-finite or non-numeric value raises ValueError.
+def checked_cost(fn: Callable[[int], float], n: int) -> Callable[[int], float]:
+    """Wrap a bare cost callable of degree n: an element out of range, or a
+    non-finite or non-numeric value, raises ValueError.
 
     Costs are compared with < and ==, under which NaN is neither smaller nor
     equal to anything, so different solvers would read a NaN table
@@ -219,6 +222,7 @@ def checked_cost(fn: Callable[[int], float]) -> Callable[[int], float]:
     """
 
     def checked(x: int) -> float:
+        check_element(x, n)
         value = fn(x)
         if not is_finite_number(value):
             raise ValueError(f"cost of element {x} must be a finite number, got {value!r}")
@@ -486,10 +490,12 @@ class CostEvaluator:
     the BudgetExhausted or TargetReached that ended the block, else None,
     and swallows only those two.
 
-    A bare callable is wrapped by checked_cost, so a non-finite or
-    non-numeric cost raises ValueError. Instance cost functions are finite
-    by construction (explicit tables are checked when built) and run
-    unwrapped.
+    The cost function, not the evaluator, refuses an element out of range
+    with ValueError: every Instance kernel does, and a bare callable is
+    wrapped by checked_cost, which also refuses a non-finite or non-numeric
+    cost. Instance costs are finite by construction (explicit tables are
+    checked when built). The budget is checked first, so once it is spent
+    an element out of range raises BudgetExhausted.
 
     The stopwatch: each fresh evaluation is timed while calls are
     expensive, and elapsed_in_cost sums the seconds of the timed_calls.
@@ -541,7 +547,7 @@ class CostEvaluator:
         else:
             if n is None:
                 raise ValueError("a bare cost callable needs an explicit degree")
-            self.fn = checked_cost(cost)
+            self.fn = checked_cost(cost, n)
             self.n = n
         self.memo: dict[int, float] = {}
         self.node_budget = node_budget
@@ -561,8 +567,6 @@ class CostEvaluator:
         value = memo.get(x)
         if value is not None:
             return value
-        if x < 0 or x >> self.n:
-            raise ValueError(f"element {x} out of range for degree {self.n}")
         if self.node_budget is not None and len(memo) >= self.node_budget:
             raise BudgetExhausted
         untimed_left = self._untimed_left
@@ -880,10 +884,8 @@ def _instance_from(text: str) -> Instance:
     if kind == SUBSET_SUM:
         weights = payload.get("weights")
         target = payload.get("target")
-        if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
+        if not isinstance(weights, list):
             raise ValueError("'weights' must be a list of ints")
-        if not isinstance(target, int):
-            raise ValueError("'target' must be an int")
         return Instance(n=n, kind=SUBSET_SUM, weights=tuple(weights), target=target)
     if kind == EXPLICIT:
         raw = payload.get("costs")

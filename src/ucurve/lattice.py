@@ -13,7 +13,6 @@ the remaining search space.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Iterator
 
 LOWER = "lower"
 UPPER = "upper"
@@ -71,7 +70,8 @@ class RestrictionSet:
     set up to R; with UPPER orientation it removes the interval from R up to
     the full set. ``update`` keeps the members an antichain: an element
     already covered is dropped, and inserting an element absorbs the members
-    its interval swallows. ``members`` lists them in mask order.
+    its interval swallows. ``members`` lists them in mask order. A set
+    starts empty, and ``update`` and ``insert_seed`` are the ways in.
 
     For n <= 20 a per-degree coverage bitmap is the set's one record of
     its members and coverage. Each byte tags one lattice element: 0
@@ -153,7 +153,7 @@ class RestrictionSet:
         "orientation", "n", "covered", "_members", "full", "_flip", "_cover", "_cursor", "_insert"
     )
 
-    def __init__(self, orientation: str, n: int, members: Iterable[int] = ()) -> None:
+    def __init__(self, orientation: str, n: int) -> None:
         if orientation not in (LOWER, UPPER):
             raise ValueError(f"orientation must be {LOWER!r} or {UPPER!r}")
         check_degree(n)
@@ -173,8 +173,6 @@ class RestrictionSet:
             self.covered = self._scan
             self._insert = self._absorb
         self._cursor = self._flip
-        for m in members:
-            self.update(m)
 
     @property
     def members(self) -> list[int]:
@@ -247,9 +245,6 @@ class RestrictionSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
 
     def __repr__(self) -> str:
         vecs = [render_element(m, self.n) for m in self.members]

@@ -64,6 +64,8 @@ def legacy_ucurve_solve(
     error: the popped element's lower and upper intervals vanish even
     where they were never visited. Directions are drawn as in ucs_solve:
     up when random() < p_up, p_up checked before anything is evaluated.
+    A blocked start, already covered on the other side, is inserted on
+    its own side with RestrictionSet.insert_seed, as ucs inserts its seeds.
     """
     check_p_up(p_up)
     ev = CostEvaluator(cost, n, node_budget, cost_target)
@@ -81,7 +83,7 @@ def legacy_ucurve_solve(
             if a is None:
                 break
             if other.covered(a):
-                own.update(a)
+                own.insert_seed(a)
                 continue
             m = _chain_minimum(a, n, ev, r_lower, r_upper, going_up)
             _minimum_exhausting(m, n, ev, r_lower, r_upper)

@@ -42,12 +42,13 @@ direction draw are the part of a run's cost that does not grow with the
 nodes it evaluates.
 
 A run never shares state. Each node reads its cost from the evaluator
-once, when it is pushed (a DFS seed when the main loop picks it), and the
-pruning rules read it off the node; the evaluator's memo is the run's one
-record of what it computed, and the report is drawn from it. ucs_solve,
-like every solver, builds its evaluator before anything else reads n and
-searches inside ``with ev:``; the evaluator keeps the clock and ends the
-run at either stop it raises, and report.conclude builds the report.
+once, when it is pushed; a DFS seed arrives costed, read when the main
+loop picks it. The pruning rules read the cost off the node; the
+evaluator's memo is the run's one record of what it computed, and the
+report is drawn from it. ucs_solve, like every solver, builds its
+evaluator before anything else reads n and searches inside ``with ev:``;
+the evaluator keeps the clock and ends the run at either stop it raises,
+and report.conclude builds the report.
 The optional on_event callback receives one dict per push / pop /
 restriction update, which is what the CLI --trace flag and the
 instrumented no-minimum-loss tests consume; a run stopped by its cost
@@ -81,8 +82,8 @@ class Node:
     neighbours, and ``adjacent & ~element`` the upper flag. Both masks
     start at bits: a fresh node is ``Node(x, full)``, a seed whose own side
     is gone ``Node(a, rest)``. The cost is None until it is read: dfs sets
-    it when it pushes the node, and ucs_solve sets it on the seeds it has
-    just evaluated.
+    it when it pushes the node, and ucs_solve sets it on the seed it has
+    just evaluated, before the seed reaches dfs.
     """
 
     __slots__ = ("element", "cost", "unverified", "adjacent")
@@ -225,9 +226,9 @@ def dfs(
 ) -> None:
     """Depth-first search from m_node, shrinking the space as it prunes.
 
-    Every node pushed gets its cost from the evaluator once, on push, and so
-    does m_node unless its caller has set its cost already; the evaluator's
-    memo keeps what the search computed. Both stops propagate from the
+    m_node arrives costed: its caller has set its cost. Every node pushed
+    gets its cost from the evaluator once, on push; the evaluator's memo
+    keeps what the search computed. Both stops propagate from the
     evaluator, so a node whose cost meets the target gets no push event.
 
     Before an empty flag licenses an interval removal, every neighbour on
@@ -256,8 +257,6 @@ def dfs(
     """
     lower_covered = r_lower.covered
     upper_covered = r_upper.covered
-    if m_node.cost is None:
-        m_node.cost = evaluator.evaluate(m_node.element)
     graph = {m_node.element}
     stack: list[Node] = [m_node]
     while stack:

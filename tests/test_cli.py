@@ -321,3 +321,40 @@ def test_find_counterexample_rejects_a_bad_noise(tmp_path, capsys):
         assert captured.out == ""
         assert "noise" in captured.err, noise
         assert not out.exists(), noise
+
+
+def test_solve_refuses_a_trace_for_a_solver_other_than_ucs(tmp_path, capsys):
+    run(["generate", "--n", "5", "--count", "1", "--seed", "6", "--out", tmp_path])
+    instance = capsys.readouterr().out.strip()
+    assert run(["solve", "--algorithm", "ubb", "--instance", instance, "--trace"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ucurve: error: event tracing is only supported by the ucs solver" in captured.err
+
+
+def test_bench_jobs_two_drops_the_time_columns(tmp_path, capsys):
+    cfg = tmp_path / "bench.json"
+    # include_times is left at its default, true
+    cfg.write_text(json.dumps({"sizes": [4], "instances_per_size": 2, "algorithms": ["ubb"]}))
+    headers = {}
+    for jobs in ("1", "2"):
+        outdir = tmp_path / f"jobs{jobs}"
+        assert run(["bench", "--config", cfg, "--jobs", jobs, "--out", outdir]) == 0
+        headers[jobs] = (outdir / "optimal.csv").read_text().splitlines()[0].split(",")
+    capsys.readouterr()
+    assert "mean_time_sec" in headers["1"]
+    assert headers["2"] == [c for c in headers["1"] if "time" not in c]
+
+
+def test_bench_threshold_scope_overrides_the_config(tmp_path, capsys):
+    cfg = tmp_path / "bench.json"
+    config = {"sizes": [4], "instances_per_size": 2, "threshold_scope": "mean", "include_times": False}
+    cfg.write_text(json.dumps(config))
+    rows = {}
+    for flag in ([], ["--threshold-scope", "per-instance"]):
+        outdir = tmp_path / ("flag" if flag else "config")
+        assert run(["bench", "--config", cfg, "--mode", "suboptimal", *flag, "--out", outdir]) == 0
+        rows[bool(flag)] = json.loads((outdir / "suboptimal_thresholds.json").read_text())
+    capsys.readouterr()
+    assert [row.get("instance") for row in rows[False]] == [None]
+    assert [row["instance"] for row in rows[True]] == [0, 1]

@@ -302,6 +302,19 @@ def test_every_kernel_rejects_an_out_of_range_mask(kind, mask):
         instance.cost_function()(x)
 
 
+@pytest.mark.parametrize("mask", ["-1", "1 << n"])
+def test_a_bare_callable_never_sees_an_out_of_range_mask(mask):
+    calls = []
+    x = -1 if mask == "-1" else 1 << 3
+    ev = CostEvaluator(lambda m: calls.append(m) or 1.0, n=3)
+    with pytest.raises(ValueError, match="out of range"):
+        ev.evaluate(x)
+    # the budget is checked before the cost function: once it is spent, the stop wins
+    with pytest.raises(BudgetExhausted):
+        CostEvaluator(lambda m: calls.append(m) or 1.0, n=3, node_budget=0).evaluate(x)
+    assert calls == [] and ev.computed_nodes == 0
+
+
 class TestMce:
     def test_half_bit_example(self):
         table = SampleTable(n=1, rows=((0, 0), (0, 1), (1, 0), (1, 0)))
@@ -576,6 +589,24 @@ class TestSubsetSumInputs:
             Instance(n=2, kind="subset_sum", weights=(2, 1), target=bad)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(n=2, kind="subset_sum", weights=(2, 1)), "need weights and target"),
+        (dict(n=2, kind="subset_sum", weights=(2,), target=1), "weights length"),
+        (dict(n=25, kind="explicit", costs=()), "capped at degree 24"),
+        (dict(n=2, kind="explicit", costs=(0.0, 1.0, 2.0)), "a cost for every subset"),
+        (dict(n=2, kind="mce"), "need a sample table"),
+        (dict(n=3, kind="mce", samples=SampleTable(n=2, rows=((0, 0),))), "sample width"),
+        (dict(n=2, kind="made-up"), "unknown instance kind"),
+    ],
+    ids=["no-target", "weights-length", "explicit-cap", "costs-length", "no-table", "width", "kind"],
+)
+def test_instance_refusals(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Instance(**fields)
+
+
 class TestBoolDegree:
     # True is an int equal to 1, and each of these once took it for degree 1
     def test_instance_rejects_a_bool_degree(self):
@@ -623,6 +654,11 @@ class TestVerifyDecomposable:
         fn = inst.cost_function()
         assert z & ~y == 0 and y & ~x == 0
         assert fn(y) > max(fn(z), fn(x))
+
+    def test_unknown_mode_refused(self):
+        inst = generate_subset_sum_instance(4, 0)
+        with pytest.raises(ValueError, match="mode must be 'exhaustive' or 'sampled'"):
+            verify_decomposable(inst, mode="chained")
 
     @pytest.mark.parametrize("chains", [-5, 0])
     def test_sampled_needs_a_chain(self, chains):
@@ -859,8 +895,30 @@ class TestInstanceFiles:
             ),
             ("kind.json", '{"n": 1, "kind": "made-up"}', "unknown instance kind"),
             ("empty.txt", "n=3 t=0\n", "at least one row"),
+            (
+                "weights.json",
+                '{"n": 1, "kind": "subset_sum", "weights": 5, "target": 0}',
+                "'weights' must be a list of ints",
+            ),
+            (
+                "bool.json",
+                '{"n": 2, "kind": "subset_sum", "weights": [true, 1], "target": 0}',
+                "weights and target must be ints",
+            ),
+            (
+                "target.json",
+                '{"n": 1, "kind": "subset_sum", "weights": [1], "target": "1"}',
+                "weights and target must be ints",
+            ),
+            ("no-target.json", '{"n": 1, "kind": "subset_sum", "weights": [1]}', "need weights"),
+            ("costs.json", '{"n": 1, "kind": "explicit", "costs": [0, 1]}', "must be an object"),
+            ("cap.json", '{"n": 25, "kind": "explicit", "costs": {}}', "capped at degree 24"),
         ],
-        ids=["json", "object", "degree", "negative-weight", "key", "kind", "txt-no-rows"],
+        ids=[
+            "json", "object", "degree", "negative-weight", "key", "kind", "txt-no-rows",
+            "weights-not-a-list", "bool-weight", "string-target", "no-target", "costs-list",
+            "explicit-cap",
+        ],
     )
     def test_parse_instance_errors_name_the_file_once(self, name, text, message):
         with pytest.raises(ValueError, match=message) as caught:

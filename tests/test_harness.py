@@ -49,6 +49,8 @@ class TestConfig:
             ExperimentConfig(sizes=[5], jobs=2)  # needs include_times=False
         with pytest.raises(ValueError):
             ExperimentConfig(sizes=[5], threshold_scope="sometimes")
+        with pytest.raises(ValueError, match="unsupported cost kind 'explicit'"):
+            ExperimentConfig(sizes=[5], cost_kind="explicit")
 
     @pytest.mark.parametrize("p_up", [-0.1, 1.5, float("nan"), "0.5", True])
     def test_p_up_rejected_when_built(self, p_up):
@@ -81,6 +83,7 @@ class TestConfig:
             ("jobs", "2"),
             ("jobs", 1.0),
             ("include_times", 1),
+            ("mode", "sometimes"),
         ],
     )
     def test_every_field_checked_when_built(self, field, value):
@@ -212,6 +215,20 @@ class TestRunSuboptimal:
         for r in results:
             assert r["mean_computed_nodes"] <= r["threshold"]
 
+    def test_a_solver_that_overruns_its_budget_is_refused(self, tmp_path, monkeypatch):
+        honest = harness.SOLVERS["ubb"]
+
+        def overrunning(inst, seed, p_up, on_event, node_budget=None, **kw):
+            report = honest(inst, seed, p_up, on_event, node_budget=node_budget, **kw)
+            if node_budget is None:
+                return report
+            return report.replace(computed_nodes=node_budget + 1)
+
+        monkeypatch.setitem(harness.SOLVERS, "ubb", overrunning)
+        cfg = small_config(mode="suboptimal", sizes=[5], instances_per_size=1)
+        with pytest.raises(RuntimeError, match="budget contract violated: ubb computed"):
+            run_suboptimal(cfg, tmp_path)
+
     def test_per_instance_scope(self, tmp_path):
         cfg = small_config(mode="suboptimal", threshold_scope="per-instance")
         thresholds, results = run_suboptimal(cfg, tmp_path)
@@ -243,6 +260,17 @@ class TestEmission:
         path = tmp_path / "out.csv"
         emit_report([], ["n", "algorithm"], path, "csv")
         assert path.read_text() == "n,algorithm\n"
+
+    def test_none_is_an_empty_csv_cell(self, tmp_path):
+        path = tmp_path / "out.csv"
+        emit_report([{"n": 5, "ratio": None}], ["n", "ratio"], path, "csv")
+        assert path.read_text() == "n,ratio\n5,\n"
+
+    def test_unknown_format_refused(self, tmp_path):
+        path = tmp_path / "out.xml"
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            emit_report([{"n": 5}], ["n"], path, "xml")
+        assert not path.exists()
 
     def test_identical_inputs_identical_bytes(self, tmp_path):
         rows = [{"n": 5, "algorithm": "ucs", "mean_computed_nodes": 12.3456}]
@@ -519,3 +547,16 @@ class TestCounterCrossCheck:
 def test_run_solver_checks_p_up_for_every_algorithm(algorithm, p_up):
     with pytest.raises(ValueError, match="p_up"):
         run_solver(algorithm, generate_subset_sum_instance(5, 3), p_up=p_up)
+
+
+@pytest.mark.parametrize(
+    "algorithm, on_event, message",
+    [
+        ("nope", None, "unknown algorithm 'nope'"),
+        ("ubb", print, "event tracing is only supported by the ucs solver"),
+    ],
+    ids=["unknown", "trace"],
+)
+def test_run_solver_refusals(algorithm, on_event, message):
+    with pytest.raises(ValueError, match=message):
+        run_solver(algorithm, generate_subset_sum_instance(5, 3), on_event=on_event)

@@ -22,15 +22,20 @@ from ucurve.lattice import (
 
 
 def restriction_set(orientation, n, members=(), bitmap=None):
-    """A RestrictionSet; bitmap=True or False forces the bitmap or the scan path.
+    """A RestrictionSet with members updated into it in order; bitmap=True
+    or False forces the bitmap or the scan path.
 
     ``_ACCEL_MAX_DEGREE``, read when a set is built, is the one seam that
     picks the path.
     """
     if bitmap is None:
-        return RestrictionSet(orientation, n, members)
-    with unittest.mock.patch.object(ucurve.lattice, "_ACCEL_MAX_DEGREE", n if bitmap else 0):
-        return RestrictionSet(orientation, n, members)
+        r = RestrictionSet(orientation, n)
+    else:
+        with unittest.mock.patch.object(ucurve.lattice, "_ACCEL_MAX_DEGREE", n if bitmap else 0):
+            r = RestrictionSet(orientation, n)
+    for m in members:
+        r.update(m)
+    return r
 
 
 def lower_set(n, members, bitmap=None):
@@ -120,6 +125,11 @@ class TestDegree:
     def test_restriction_set_rejects_a_degree_that_is_not_an_int_in_range(self, orientation, n):
         with pytest.raises(ValueError, match="degree"):
             RestrictionSet(orientation, n)
+
+    @pytest.mark.parametrize("orientation", ["sideways", None])
+    def test_restriction_set_rejects_an_unknown_orientation(self, orientation):
+        with pytest.raises(ValueError, match="orientation must be"):
+            RestrictionSet(orientation, 3)
 
     def test_full_set_rejects_a_bool_degree(self):
         with pytest.raises(ValueError, match="degree"):
@@ -253,7 +263,6 @@ class TestBitmapAntichain:
             fast.update(x & full)
             slow.update(x & full)
             assert fast.members == slow.members
-            assert list(fast) == fast.members
             assert repr(fast) == repr(slow)
             assert len(fast) == len(slow) == len(fast.members)
             tagged = [m for m in range(full + 1) if fast._cover[m] == 2]
@@ -285,12 +294,12 @@ class TestBitmapAntichain:
     def test_absorbs_several_members_at_once(self):
         r = lower_set(4, [parse_element(v) for v in ("1000", "0100", "0001", "0110")])
         # members come in mask order, and "1000" is the mask 0b0001
-        assert [render_element(m, 4) for m in r] == ["1000", "0110", "0001"]
+        assert [render_element(m, 4) for m in r.members] == ["1000", "0110", "0001"]
         r.update(parse_element("1110"))
-        assert [render_element(m, 4) for m in r] == ["1110", "0001"]
+        assert [render_element(m, 4) for m in r.members] == ["1110", "0001"]
         u = upper_set(4, [parse_element(v) for v in ("1110", "1011", "0111")])
         u.update(parse_element("0100"))
-        assert [render_element(m, 4) for m in u] == ["0100", "1011"]
+        assert [render_element(m, 4) for m in u.members] == ["0100", "1011"]
 
     def test_members_is_a_snapshot(self):
         r = lower_set(3, [0b001])
@@ -389,8 +398,10 @@ class TestInsertSeed:
         script = (
             "from ucurve.lattice import LOWER, RestrictionSet\n"
             "assert False, 'assertions are on'\n"
+            "r = RestrictionSet(LOWER, 3)\n"
+            "r.update(0b011)\n"
             "try:\n"
-            "    RestrictionSet(LOWER, 3, [0b011]).insert_seed(0b001)\n"
+            "    r.insert_seed(0b001)\n"
             "except RuntimeError as exc:\n"
             "    print('raised:', exc)\n"
         )

@@ -68,6 +68,10 @@ class TestFindCounterexample:
     def test_zero_trials_finds_nothing(self):
         assert find_counterexample(5, 0, 7) is None
 
+    def test_negative_trials_refused(self):
+        with pytest.raises(ValueError, match="trials must be non-negative"):
+            find_counterexample(5, -1, 7)
+
     def test_degree_validated(self):
         with pytest.raises(ValueError):
             find_counterexample(3, 10, 0)

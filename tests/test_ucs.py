@@ -71,7 +71,8 @@ class TestSelectUnvisitedAdjacent:
         y = make_node(parse_element("10"), n)
         visited = make_node(parse_element("00"), n)
         graph = {y.element: y, visited.element: visited}
-        r_upper = RestrictionSet(UPPER, n, [parse_element("11")])
+        r_upper = RestrictionSet(UPPER, n)
+        r_upper.update(parse_element("11"))
         got = select_unvisited_adjacent(y, graph, RestrictionSet(LOWER, n), r_upper)
         assert got is None
         assert y.adjacent & ~y.element == 0  # s2 cleared, neighbour 11 covered above
@@ -85,7 +86,7 @@ class TestPruning:
         graph = {y.element: y}
         r_lower = RestrictionSet(LOWER, n)
         lower_pruning(y, r_lower)
-        assert list(r_lower) == [parse_element("0110")]
+        assert r_lower.members == [parse_element("0110")]
         assert y.element in graph
 
     def test_lower_pruning_kills_proper_subsets_lazily(self):
@@ -105,9 +106,9 @@ class TestPruning:
         y = make_node(parse_element("0110"), n)
         r_lower = RestrictionSet(LOWER, n)
         lower_pruning(y, r_lower)
-        members_once = list(r_lower)
+        members_once = r_lower.members
         lower_pruning(y, r_lower)
-        assert list(r_lower) == members_once
+        assert r_lower.members == members_once
 
     def test_node_pruning_upper_neighbour_cheaper(self):
         # X=11 cheaper than its lower neighbour Y=10: Y's down interval goes
@@ -119,10 +120,10 @@ class TestPruning:
         r_lower = RestrictionSet(LOWER, n)
         r_upper = RestrictionSet(UPPER, n)
         node_pruning(x, y, r_lower, r_upper)
-        assert list(r_lower) == [parse_element("10")]
+        assert r_lower.members == [parse_element("10")]
         assert x.adjacent & x.element == parse_element("10")  # lost the bit toward y
         assert y.adjacent & y.element == 0
-        assert not list(r_upper)
+        assert not r_upper.members
 
     def test_node_pruning_equal_costs_fire_nothing(self):
         n = 2
@@ -133,7 +134,7 @@ class TestPruning:
         r_upper = RestrictionSet(UPPER, n)
         before = (x.adjacent, y.adjacent)
         node_pruning(x, y, r_lower, r_upper)
-        assert not list(r_lower) and not list(r_upper)
+        assert not r_lower.members and not r_upper.members
         assert before == (x.adjacent, y.adjacent)
 
     def test_node_pruning_lower_neighbour_cheaper(self):
@@ -146,10 +147,10 @@ class TestPruning:
         r_lower = RestrictionSet(LOWER, n)
         r_upper = RestrictionSet(UPPER, n)
         node_pruning(x, y, r_lower, r_upper)
-        assert list(r_upper) == [parse_element("11")]
+        assert r_upper.members == [parse_element("11")]
         assert y.adjacent & ~y.element == 0
         assert x.adjacent & ~x.element == 0  # lost its only upward bit (s1)
-        assert not list(r_lower)
+        assert not r_lower.members
 
     def test_node_pruning_requires_adjacency(self):
         n = 3
@@ -170,6 +171,7 @@ def seeded_dfs(instance, going_up=True):
     a = minimal_element(r_lower)
     r_lower.update(a)
     node = Node(a, full ^ a)
+    node.cost = ev.evaluate(a)
     dfs(node, r_lower, r_upper, ev)
     return r_lower, r_upper, ev
 
@@ -207,6 +209,7 @@ class TestDfs:
                 continue
             before = {x for x in range(1 << n) if in_current_space(r_lower, r_upper, x)}
             node = Node(a, full_set(n) ^ a)
+            node.cost = ev.evaluate(a)
             dfs(node, r_lower, r_upper, ev)
             after = {x for x in range(1 << n) if in_current_space(r_lower, r_upper, x)}
             removed = before - after
@@ -263,8 +266,10 @@ class TestDfs:
             a = minimal_element(r_lower)
             r_lower.update(a)
             pushed.add(a)
-            full = full_set(n)
-            dfs(Node(a, full ^ a), r_lower, r_upper, CostEvaluator(inst), on_event)
+            ev = CostEvaluator(inst)
+            node = Node(a, full_set(n) ^ a)
+            node.cost = ev.evaluate(a)
+            dfs(node, r_lower, r_upper, ev, on_event)
             kills += len(killed)
             pushed.clear()
             killed.clear()
@@ -514,6 +519,7 @@ class TestFlagSoundnessCheck:
         # 0b011 has uncovered neighbours on both sides, yet one flag says
         # none is left; nothing is unverified, so the seed pops at once
         seed = Node(0b011, lower_flag | upper_flag)
+        seed.cost = ev.evaluate(0b011)
         seed.unverified = 0
         with pytest.raises(RuntimeError, match=f"unsound {side} flag"):
             dfs(seed, r_lower, r_upper, ev)
@@ -526,6 +532,7 @@ class TestFlagSoundnessCheck:
             "from ucurve.ucs import Node, dfs\n"
             "assert False, 'assertions are on'\n"
             "seed = Node(0b011, 0b100)\n"
+            "seed.cost = 3.0\n"
             "seed.unverified = 0\n"
             "try:\n"
             "    dfs(seed, RestrictionSet(LOWER, 3),\n"

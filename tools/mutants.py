@@ -269,6 +269,17 @@ MUTANTS = [
         ["tests/test_cost.py::test_every_kernel_rejects_an_out_of_range_mask"],
     ),
     (
+        "a bare-callable wrapper without its element check",
+        COST,
+        "        check_element(x, n)\n"
+        "        value = fn(x)\n",
+        "        value = fn(x)\n",
+        [
+            "tests/test_cost.py::test_a_bare_callable_never_sees_an_out_of_range_mask[-1]",
+            "tests/test_cost.py::test_a_bare_callable_never_sees_an_out_of_range_mask[1 << n]",
+        ],
+    ),
+    (
         "dfs liveness that ignores the upper side's tag",
         UCS,
         "if lower_covered(ye) == 1 or upper_covered(ye) == 1:",
